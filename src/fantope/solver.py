@@ -15,7 +15,7 @@ import numpy as np
 
 from .base import DEFAULT_POLICY, SupportSet, entry_max_norm, l11_norm
 from .errors import GapCollapsed, InfeasibleConstraint, InvalidInput, NotConverged, SearchFailure
-from .spectral import FantopePoint, as_sym, fantope_project
+from .spectral import FantopePoint, _project, as_sym
 
 
 # ===== configuration and result types =====
@@ -65,6 +65,16 @@ class FpsSolution:
     history holds per-iteration objective and residual arrays;
     dual_clip_excess records how far the recovered multiplier poked
     outside [-1, 1] before clipping (0 at a clean optimum).
+
+    Z is the subgradient of ||H||_1,1 read off the scaled multiplier U as
+    (step/rho) * U, symmetrized and clipped to [-1, 1], with its diagonal
+    set to zero.  The diagonal carries nothing: every Fantope point is
+    positive semidefinite, so sum_i |H_ii| = trace(H) = k is constant on the
+    feasible set.  For the same reason W = Z + I is also a subgradient
+    (W_ii = 1 = sign(H_ii) wherever H_ii > 0, and |W_ii| <= 1 where it is
+    zero), and the penalty only shifts S - rho W by the constant rho * k.
+    So (H, H, (rho/step) * (Z + I)) is a valid warm start (H, Y, U) that
+    resumes the splitting iteration from this solution.
     """
 
     H: FantopePoint
@@ -91,7 +101,7 @@ class UniquenessProbe:
 
 def soft_threshold(a, level):
     """Entrywise shrinkage toward zero by `level` (diagonal included)."""
-    return np.sign(a) * np.maximum(np.abs(a) - level, 0.0)
+    return a - np.clip(a, -level, level)
 
 
 # ===== core splitting loop =====
@@ -164,6 +174,7 @@ def _splitting_loop(s, cfg, tau, warm=None):
     else:
         h, y, u = (np.array(m, dtype=float) for m in warm)
 
+    s_step = s / sigma
     scale = np.sqrt(p)
     objs = np.empty(cfg.max_iters)
     r_ps = np.empty(cfg.max_iters)
@@ -174,10 +185,10 @@ def _splitting_loop(s, cfg, tau, warm=None):
     it = 0
     for it in range(1, cfg.max_iters + 1):
         if tau == 0.0:
-            m = y - u + s / sigma
+            m = y - u + s_step
         else:
             m = (s + sigma * (y - u)) / (tau + sigma)
-        h = fantope_project(m, k).point.entries
+        h = _project(m, k)[0]
         y_prev = y
         y = soft_threshold(h + u, rho / sigma)
         u = u + h - y
@@ -364,6 +375,16 @@ def uniqueness_probe(s, config, unique_tol=1e-5, policy=DEFAULT_POLICY):
     tau inside the gap leaves the maximizer unchanged when the solution is
     the unique rank-k projector).  Agreement of the two routes within
     unique_tol certifies uniqueness; a collapsed gap raises GapCollapsed.
+
+    The second route resumes from the first route's answer, the triple
+    (H, H, (rho/step)(Z + I)).  When H is the rank-k projector of S - rho Z,
+    subtracting tau H with tau < gap keeps it the top-k projector, so the
+    triple is an exact fixed point of the elastic-net iteration and the
+    resumed solve stops within an iteration or two.  Otherwise the iterates
+    move away from it.  Either way the elastic-net problem is strongly
+    concave, its maximizer is unique and the iteration converges to it from
+    any start, so the warm start changes the iteration count, not the limit
+    the first route is compared with.
     """
     sym = as_sym(s).entries
     p = sym.shape[0]
@@ -379,7 +400,9 @@ def uniqueness_probe(s, config, unique_tol=1e-5, policy=DEFAULT_POLICY):
             "the penalized maximizer is not certifiably unique"
         )
     tau = 0.5 * gap
-    sol_en = solve_fps_en(sym, config.with_(tau_en=tau))
-    disc = float(np.linalg.norm(sol.H.entries - sol_en.H.entries))
+    h = sol.H.entries
+    u = (config.rho / config.admm_step) * (sol.Z + np.eye(p))
+    sol_en = solve_fps_en(sym, config.with_(tau_en=tau), warm=(h, h, u))
+    disc = float(np.linalg.norm(h - sol_en.H.entries))
     probe = UniquenessProbe(unique=disc <= unique_tol, discrepancy=disc, tau=tau, gap=gap)
     return probe, sol

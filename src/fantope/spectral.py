@@ -114,13 +114,8 @@ def _check_order(k, p):
         raise InvalidInput(f"subspace order k={k} must be an integer in [1, {p}]")
 
 
-def eig_sym(a):
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    s = as_sym(a)
-    try:
-        w, v = np.linalg.eigh(s.entries)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+def _descending(w, v):
+    """Read-only Spectrum from numpy's ascending eigh output."""
     w = np.ascontiguousarray(w[::-1])
     v = np.ascontiguousarray(v[:, ::-1])
     w.flags.writeable = False
@@ -128,30 +123,67 @@ def eig_sym(a):
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def _water_level(gamma, k):
-    """Solve sum_j clip(gamma_j - theta, 0, 1) = k for theta by breakpoint scan.
+def eig_sym(a):
+    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
+    s = as_sym(a)
+    try:
+        w, v = np.linalg.eigh(s.entries)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+    return _descending(w, v)
 
-    phi(theta) = sum_j clip(gamma_j - theta, 0, 1) is continuous, piecewise
-    linear, non-increasing, with kinks only at gamma_j and gamma_j - 1; so the
-    equation is solved exactly by scanning the sorted kinks and interpolating
-    on the one segment where phi crosses k.
+
+def _project(m, k):
+    """Fantope projection of a symmetric array, on raw arrays and unvalidated.
+
+    Returns (h, theta, gamma, v, g): the projection, the water level, the
+    ascending eigenvalues and eigenvectors of m, and the clipped eigenvalues
+    g = clip(gamma - theta, 0, 1).  This is the solver's per-iteration
+    kernel and the one projection path; fantope_project wraps it.
+
+    The water level solves phi(theta) = sum_j clip(gamma_j - theta, 0, 1) = k.
+    phi is continuous, piecewise linear and non-increasing, with kinks only at
+    gamma_j and gamma_j - 1, so it is evaluated at every kink from prefix sums
+    of the sorted spectrum, and the root is interpolated on the one segment
+    where phi crosses k (the largest root when phi is flat at k).
     """
-    if k == gamma.shape[0]:
+    try:
+        gamma, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+    p = gamma.shape[0]
+    if k == p:
         # every clipped eigenvalue must saturate at 1
-        return float(gamma.min()) - 1.0
-    cands = np.unique(np.concatenate([gamma, gamma - 1.0]))  # ascending
-    phis = np.clip(gamma[None, :] - cands[:, None], 0.0, 1.0).sum(axis=1)
-    # phi(cands[0]) = p >= k and phi(cands[-1]) = 0 < k, so a crossing exists;
-    # the comparison is slackened because phi near a kink rounds at ~p*eps
-    above = np.nonzero(phis >= k - 1e-9 * k)[0]
-    if above.size == 0:
-        raise NumericalFailure("water-level scan found no feasible segment")
-    i = int(above[-1])
-    if i == len(cands) - 1 or phis[i] == k:
-        return float(cands[i])
-    # phis[i] ~>= k > phis[i+1]: strict drop, linear on the segment
-    frac = (phis[i] - k) / (phis[i] - phis[i + 1])
-    return float(cands[i] + frac * (cands[i + 1] - cands[i]))
+        theta = float(gamma[0]) - 1.0
+    else:
+        cands = np.sort(np.concatenate([gamma - 1.0, gamma]))
+        csum = np.concatenate([[0.0], np.cumsum(gamma)])
+        lo = np.searchsorted(gamma, cands, side="right")       # gamma_j <= c: 0
+        hi = np.searchsorted(gamma, cands + 1.0, side="left")  # gamma_j >= c+1: 1
+        phis = (p - hi) + (csum[hi] - csum[lo]) - (hi - lo) * cands
+        # phi(cands[0]) = p >= k and phi(cands[-1]) = 0 < k, so a crossing exists;
+        # the comparison is slackened because phi near a kink rounds at ~p*eps
+        above = np.nonzero(phis >= k - 1e-9 * k)[0]
+        if above.size == 0:
+            raise NumericalFailure("water-level scan found no feasible segment")
+        i = int(above[-1])
+        theta = float(cands[i])
+        if i < len(cands) - 1 and phis[i] != k:
+            # phis[i] ~>= k > phis[i+1]: strict drop, linear on the segment
+            frac = (phis[i] - k) / (phis[i] - phis[i + 1])
+            theta += float(frac * (cands[i + 1] - cands[i]))
+    g = np.clip(gamma - theta, 0.0, 1.0)
+    # one Newton correction on the active linear segment mops up roundoff
+    resid = float(g.sum()) - k
+    active = int(np.count_nonzero((g > 0.0) & (g < 1.0)))
+    if resid != 0.0 and active:
+        theta += resid / active
+        g = np.clip(gamma - theta, 0.0, 1.0)
+    # solutions are low-rank: rebuild from the columns that carry weight only
+    keep = g > 0.0
+    vk = v[:, keep]
+    h = (vk * g[keep]) @ vk.T
+    return 0.5 * (h + h.T), theta, gamma, v, g
 
 
 def fantope_project(a, k, policy=DEFAULT_POLICY):
@@ -167,28 +199,16 @@ def fantope_project(a, k, policy=DEFAULT_POLICY):
     s = as_sym(a)
     p = s.dim
     _check_order(k, p)
-    spec = eig_sym(s)
-    gamma = spec.eigenvalues
-    theta = _water_level(gamma, k)
-    gplus = np.clip(gamma - theta, 0.0, 1.0)
-    # one Newton correction on the active linear segment mops up roundoff
-    resid = float(gplus.sum()) - k
-    active = (gplus > 0.0) & (gplus < 1.0)
-    if resid != 0.0 and np.any(active):
-        theta += resid / int(active.sum())
-        gplus = np.clip(gamma - theta, 0.0, 1.0)
-    v = spec.eigenvectors
-    ent = (v * gplus) @ v.T
-    ent = 0.5 * (ent + ent.T)
+    ent, theta, gamma, v, g = _project(s.entries, int(k))
     ent.flags.writeable = False
     point = FantopePoint(
         dim=p, k=int(k), entries=ent,
-        constraint_residual=abs(float(gplus.sum()) - k),
+        constraint_residual=abs(float(g.sum()) - k),
     )
-    order = np.argsort(gplus)[::-1]
+    # g is non-decreasing along the ascending spectrum, so reversing sorts it
     return FantopeProjectionResult(
-        point=point, theta=float(theta), spectrum=spec,
-        gamma_plus=np.ascontiguousarray(gplus[order]),
+        point=point, theta=theta, spectrum=_descending(gamma, v),
+        gamma_plus=np.ascontiguousarray(g[::-1]),
     )
 
 

@@ -117,3 +117,21 @@ def grid_solve_2x2_zoom(s, rho, coarse=1e-3, fine=2e-5):
         [cc[idx], 1.0 - aa[idx]],
     ])
     return float(obj[idx]), best_h
+
+
+def waterfill_theta_breakpoints(gamma, k):
+    """Largest root of phi(theta) = sum clip(gamma - theta, 0, 1) = k, by brute force.
+
+    phi is linear between consecutive kinks {gamma_j, gamma_j - 1}; evaluate
+    it at every kink by a direct sum, take the last kink where phi >= k and
+    interpolate on the segment after it.  Kinks closer than roundoff make phi
+    round at ~p*eps there, hence the slack on the comparison.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    kinks = np.unique(np.concatenate([gamma, gamma - 1.0]))
+    phi = [float(np.clip(gamma - t, 0.0, 1.0).sum()) for t in kinks]
+    i = max(j for j, f in enumerate(phi) if f >= k - 1e-9 * k)
+    if i == len(kinks) - 1 or phi[i] == k:
+        return float(kinks[i])
+    frac = (phi[i] - k) / (phi[i] - phi[i + 1])
+    return float(kinks[i] + frac * (kinks[i + 1] - kinks[i]))

@@ -177,11 +177,14 @@ class TestCliqueCmd:
         monkeypatch.setenv("FPS_SEED", "not-a-seed")
         assert main(["clique", "--p", "20", "--s", "5", "--trials", "1"]) == 1
 
-    def test_clique_larger_than_graph(self, capsys):
+    def test_clique_larger_than_graph(self, tmp_path, monkeypatch, capsys):
+        # no --out: the default CSV and summary land in the working directory
+        monkeypatch.chdir(tmp_path)
         assert main(["clique", "--p", "10", "--s", "11", "--trials", "1"]) == 0
         # the generator error is recorded per trial, not fatal
         summary = json.loads(capsys.readouterr().out)
         assert summary["frequency"] == 0.0
+        assert (tmp_path / "clique_results.csv").exists()
 
 
 class TestPhaseCmd:

@@ -9,7 +9,7 @@ from fantope.errors import (
     NotConverged,
 )
 from fantope.base import l11_norm
-from fantope.models import gen_toy
+from fantope.models import gen_spiked, gen_toy, sample_covariance, sample_gaussian
 from fantope.solver import (
     FpsSolution,
     KktReport,
@@ -25,6 +25,27 @@ from fantope.spectral import FantopePoint, top_k_projector
 from oracles import grid_solve_2x2, penalized_objective, random_feasible_point
 
 TOY = gen_toy(0.0).Sigma.entries
+
+
+def toy_case():
+    return TOY, SolverConfig(k=1, rho=0.1)
+
+
+def spiked_case():
+    # seeded p=50 spiked sample; 0.38 is the plug-in penalty
+    # (3 lambda_1 / alpha) sqrt(log p / n) of this sample, rounded
+    model = gen_spiked(50, 2, range(5), (3.0, 2.0), 1.0, 12)
+    s = sample_covariance(sample_gaussian(model, 4000, 3)).entries
+    return s, SolverConfig(k=2, rho=0.38)
+
+
+WARM_CASES = pytest.mark.parametrize("case", [toy_case, spiked_case], ids=["toy", "spiked50"])
+
+
+def resume_state(sol, cfg):
+    """The warm start (H, Y, U) that resumes the splitting iteration at sol."""
+    h = sol.H.entries
+    return h, h, (cfg.rho / cfg.admm_step) * (sol.Z + np.eye(h.shape[0]))
 
 
 def rand_sym(rng, p, scale=1.0):
@@ -275,3 +296,36 @@ class TestUniquenessProbe:
     def test_k_equals_p_trivially_unique(self):
         probe, _ = uniqueness_probe(TOY, SolverConfig(k=3, rho=0.0))
         assert probe.unique and probe.discrepancy == 0.0
+
+
+class TestWarmStart:
+    @WARM_CASES
+    def test_converged_solve_resumes_in_place(self, case):
+        s, cfg = case()
+        sol = solve_fps(s, cfg)
+        again = solve_fps(s, cfg, warm=resume_state(sol, cfg))
+        assert again.iters <= 2
+        assert np.linalg.norm(again.H.entries - sol.H.entries) <= 1e-6
+
+    @WARM_CASES
+    def test_probe_route_resumes_in_place(self, case):
+        # for tau inside the gap the plain answer is a fixed point of the
+        # elastic-net iteration too
+        s, cfg = case()
+        probe, sol = uniqueness_probe(s, cfg)
+        assert probe.unique
+        en = solve_fps_en(s, cfg.with_(tau_en=probe.tau), warm=resume_state(sol, cfg))
+        assert en.iters <= 2
+
+    @WARM_CASES
+    def test_warm_start_keeps_the_limit(self, case):
+        # strongly concave: any start reaches the cold solve's answer
+        s, cfg = case()
+        probe, _ = uniqueness_probe(s, cfg)
+        cfg_en = cfg.with_(tau_en=probe.tau)
+        cold = solve_fps_en(s, cfg_en)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            h0 = random_feasible_point(rng, s.shape[0], cfg.k)
+            warm = solve_fps_en(s, cfg_en, warm=(h0, h0, np.zeros_like(h0)))
+            assert np.linalg.norm(warm.H.entries - cold.H.entries) <= 1e-5

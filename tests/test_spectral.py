@@ -1,19 +1,21 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fantope.base import DEFAULT_POLICY
 from fantope.errors import InvalidInput
 from fantope.spectral import (
     FantopePoint,
     SymMat,
+    _project,
     as_sym,
     eig_sym,
     fantope_project,
     procrustes_align,
     top_k_projector,
 )
-from oracles import random_feasible_point, waterfill_theta_bisect
+from oracles import random_feasible_point, waterfill_theta_bisect, waterfill_theta_breakpoints
 
 RT2 = np.sqrt(2.0)
 
@@ -157,6 +159,79 @@ class TestFantopeProject:
             fantope_project(np.eye(3), 0)
         with pytest.raises(InvalidInput):
             fantope_project(np.eye(3), 4)
+
+
+# eigenvalue levels drawn with repetition, so spectra carry exact ties; a
+# random rotation turns those into ties up to roundoff
+TIE_LEVELS = (-2.0, -0.5, 0.0, 0.25, 1.0, 1.75, 3.0)
+
+
+@st.composite
+def tied_sym_and_order(draw):
+    p = draw(st.integers(1, 8))
+    levels = draw(st.lists(st.sampled_from(TIE_LEVELS), min_size=p, max_size=p))
+    scale = draw(st.sampled_from((0.1, 1.0, 10.0)))
+    jitter = draw(st.sampled_from((0.0, 1e-9, 0.1)))
+    k = draw(st.one_of(st.just(p), st.integers(1, p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = scale * (np.array(levels) + jitter * rng.normal(size=p))
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    else:
+        q = np.eye(p)[rng.permutation(p)]
+    return rotated(w, q), k
+
+
+def rotated(w, q):
+    a = (q * w) @ q.T
+    return 0.5 * (a + a.T)
+
+
+# water level 0.5 + 1e-6, so one clipped eigenvalue is a tiny 1e-6
+TINY_WEIGHT = (rotated(np.array([1.5, 0.5 + 2e-6, 0.0]),
+                       np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]), 1)
+
+
+PROPERTY = settings(max_examples=300, deadline=None)
+
+
+class TestProjectionProperties:
+    @PROPERTY
+    @given(tied_sym_and_order())
+    def test_feasible(self, case):
+        a, k = case
+        res = fantope_project(a, k)
+        w = np.linalg.eigvalsh(res.point.entries)
+        assert w.min() >= -1e-10 and w.max() <= 1.0 + 1e-10
+        assert abs(np.trace(res.point.entries) - k) <= 1e-10 * k
+        assert res.point.constraint_residual <= 1e-10 * k
+
+    @PROPERTY
+    @given(tied_sym_and_order())
+    def test_idempotent(self, case):
+        a, k = case
+        h = fantope_project(a, k).point.entries
+        again = fantope_project(h, k).point.entries
+        assert np.max(np.abs(again - h)) <= 1e-9
+
+    @PROPERTY
+    @given(tied_sym_and_order())
+    @example(TINY_WEIGHT)
+    def test_low_rank_rebuild_matches_full(self, case):
+        a, k = case
+        h, _, _, v, g = _project(a, k)
+        full = (v * g) @ v.T
+        assert np.max(np.abs(h - 0.5 * (full + full.T))) <= 1e-12
+
+    @PROPERTY
+    @given(tied_sym_and_order())
+    def test_water_level_matches_breakpoint_oracle(self, case):
+        a, k = case
+        res = fantope_project(a, k)
+        gamma = res.spectrum.eigenvalues
+        theta_ref = waterfill_theta_breakpoints(gamma, k)
+        assert abs(res.theta - theta_ref) <= 1e-9 * (1.0 + np.max(np.abs(gamma)))
+        npt.assert_allclose(res.gamma_plus, np.clip(gamma - theta_ref, 0.0, 1.0), atol=1e-9)
 
 
 class TestFantopePoint:
