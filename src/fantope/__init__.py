@@ -10,7 +10,7 @@ that can certify a solution's support after the fact.
 
 __version__ = "0.1.0"
 
-from .base import Policy, DEFAULT_POLICY, SupportSet, as_support
+from .base import SupportSet, as_support
 from .errors import (InvalidInput, NumericalFailure, NotConverged,
                      InfeasibleConstraint, SearchFailure, GapCollapsed,
                      SpsViolated, DegenerateModel)
@@ -31,7 +31,7 @@ from .models import (ModelInstance, SampleBatch, gen_toy, gen_spiked,
 
 __all__ = [
     "__version__",
-    "Policy", "DEFAULT_POLICY", "SupportSet", "as_support",
+    "SupportSet", "as_support",
     "InvalidInput", "NumericalFailure", "NotConverged",
     "InfeasibleConstraint", "SearchFailure", "GapCollapsed", "SpsViolated",
     "DegenerateModel",

@@ -1,32 +1,10 @@
-"""Shared primitives: numeric policy, matrix norms, support sets."""
+"""Shared primitives: matrix norms, support sets."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-
-
-# ===== numeric policy =====
-
-@dataclass(frozen=True)
-class Policy:
-    """Central record of every tolerance; override per call via `replace`."""
-
-    sym_tol: float = 1e-12          # relative asymmetry allowed in a symmetric matrix
-    eig_recon_tol: float = 1e-9     # ||A - V diag(w) V^T||_F budget for eig_sym
-    orth_tol: float = 1e-8          # orthonormality residual for eigenvector/basis input
-    fantope_eig_tol: float = 1e-8   # eigenvalue box violation allowed in a Fantope point
-    fantope_trace_tol: float = 1e-8  # relative trace error allowed in a Fantope point
-    waterfill_tol: float = 1e-10    # relative residual of the water-filling equation
-    gap_tie_tol: float = 1e-10      # eigengap below which a projector is flagged non-unique
-    support_zero_tol: float = 1e-10  # absolute threshold for "this entry is zero"
-
-    def with_(self, **kw):
-        return replace(self, **kw)
-
-
-DEFAULT_POLICY = Policy()
 
 
 # ===== matrix norms used by the estimator's bounds =====
@@ -110,12 +88,11 @@ def as_support(j):
     return SupportSet(tuple(j))
 
 
-def support_from_diag(diag, rel_tol):
-    """Indices whose diagonal entry exceeds rel_tol * max(diag)."""
-    d = np.asarray(diag, dtype=float)
-    if d.size == 0:
-        return SupportSet(())
-    top = float(np.max(d))
-    if top <= 0.0:
-        return SupportSet(())
-    return SupportSet(tuple(np.nonzero(d > rel_tol * top)[0]))
+# A variable is in the support of a projector Pi when its leverage Pi_ii
+# exceeds this cut; models, generators and checks all use this one rule.
+_SUPPORT_CUT = 1e-10
+
+
+def _support_of(leverage):
+    """Indices whose leverage (projector diagonal entry) exceeds _SUPPORT_CUT."""
+    return SupportSet(tuple(np.nonzero(np.asarray(leverage) > _SUPPORT_CUT)[0]))

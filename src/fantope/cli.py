@@ -33,9 +33,11 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -44,7 +46,7 @@ from . import __version__
 from .base import as_support
 from .errors import (InfeasibleConstraint, InvalidInput, NotConverged,
                      NumericalFailure, SearchFailure, SpsViolated)
-from .spectral import as_sym, eig_sym, top_k_projector
+from .spectral import as_sym, eig_sym
 from .solver import SolverConfig, solve_fps, solve_fps_constrained, solve_fps_en
 from .models import (gen_planted_clique, gen_spiked, gen_toy, load_matrix_csv,
                      sample_covariance, sample_gaussian, save_matrix_csv)
@@ -84,7 +86,7 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise InvalidInput(f"trials={self.trials} must be a positive integer")
         for axis, vals in self.grid.items():
             if len(vals) == 0:
@@ -260,6 +262,32 @@ def _emit_summary(summary, csv_path):
     print(text)
 
 
+# typed errors that fail one trial: recorded in its row, never fatal
+_TRIAL_ERRORS = (InvalidInput, SpsViolated, NotConverged, SearchFailure,
+                 NumericalFailure, InfeasibleConstraint)
+
+
+@contextmanager
+def _trial(records, rec):
+    """Time the body, record a typed error in rec.error, then append rec."""
+    t0 = time.perf_counter()
+    try:
+        yield rec
+    except _TRIAL_ERRORS as e:
+        rec.error = str(e)
+    rec.wall_ms = int(round((time.perf_counter() - t0) * 1000))
+    records.append(rec)
+
+
+def _score(rec, sol, model):
+    fp, fn, exact = support_error(sol.support, model.J)
+    rec.exact_recovery = exact
+    rec.false_pos, rec.false_neg = fp, fn
+    rec.frob_error = float(np.linalg.norm(sol.H.entries - model.Pi.entries))
+    rec.objective = sol.objective
+    rec.iters = sol.iters
+
+
 def _condition_flags(rec, sigma, smat, k, j, rho):
     # best-effort: a check that cannot be evaluated leaves its cells empty
     try:
@@ -354,13 +382,11 @@ def cmd_phase(config):
         alpha = config.alpha
         if alpha is None:
             _, alpha = check_lcc(model.Sigma, k, model.J)
-        recovered = 0
         for ti in range(config.trials):
             tseed = _trial_seed(seed, ci, ti)
-            rec = TrialRecord("phase", ci, ti, n=n, p=p, s=len(model.J),
-                              k=k, seed=tseed)
-            t0 = time.perf_counter()
-            try:
+            with _trial(records, TrialRecord("phase", ci, ti, n=n, p=p,
+                                             s=len(model.J), k=k,
+                                             seed=tseed)) as rec:
                 if n < 2:
                     raise InvalidInput(f"grid_n value {n} is too small")
                 smat = sample_covariance(sample_gaussian(model, n, tseed))
@@ -376,14 +402,7 @@ def cmd_phase(config):
                     rho = (sigma_hat / alpha) * math.sqrt(math.log(p) / n)
                 rec.rho = rho
                 sol = solve_fps(smat, _solver_config(k, rho, config.tolerances))
-                fp, fn, exact = support_error(sol.support, model.J)
-                rec.exact_recovery = exact
-                rec.false_pos, rec.false_neg = fp, fn
-                rec.frob_error = float(np.linalg.norm(
-                    sol.H.entries - model.Pi.entries))
-                rec.objective = sol.objective
-                rec.iters = sol.iters
-                recovered += int(exact)
+                _score(rec, sol, model)
                 _condition_flags(rec, model.Sigma, smat, k, model.J, rho)
                 try:
                     cond = check_sample_conditions(model.Sigma, k, model.J,
@@ -391,11 +410,7 @@ def cmd_phase(config):
                     rec.prob_sample_ok = cond.prob_sample_ok
                 except (SpsViolated, InvalidInput):
                     pass
-            except (InvalidInput, SpsViolated, NotConverged, SearchFailure,
-                    NumericalFailure) as e:
-                rec.error = str(e)
-            rec.wall_ms = int(round((time.perf_counter() - t0) * 1000))
-            records.append(rec)
+        recovered = sum(bool(rec.exact_recovery) for rec in records[-config.trials:])
         cell_stats.append({"cell": ci, **coord, "recovered": recovered,
                            "trials": config.trials,
                            "frequency": recovered / config.trials})
@@ -414,34 +429,24 @@ def cmd_clique(p, s, trials, seed, rho_mult=CLIQUE_RHO_MULT,
     """Planted-clique recovery: draw graphs, solve at k=1, score the clique."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
+    if p < 3:
+        # the penalty below divides by p - 1 and takes log p
+        raise InvalidInput(f"need p >= 3, got p={p}")
     seed = _resolve_seed(seed)
     rho = rho_mult * math.sqrt(math.log(p) / (p - 1))
     cfg = SolverConfig(k=1, rho=rho, support_tol=support_tol)
     out_csv = out or "clique_results.csv"
 
-    records, recovered = [], 0
+    records = []
     for ti in range(trials):
         tseed = _trial_seed(seed, 0, ti)
-        rec = TrialRecord("clique", 0, ti, n=p, p=p, s=s, k=1, rho=rho,
-                          seed=tseed)
-        t0 = time.perf_counter()
-        try:
+        with _trial(records, TrialRecord("clique", 0, ti, n=p, p=p, s=s, k=1,
+                                         rho=rho, seed=tseed)) as rec:
             model, smat = gen_planted_clique(p, s, tseed)
             sol = solve_fps(smat, cfg)
-            fp, fn, exact = support_error(sol.support, model.J)
-            rec.exact_recovery = exact
-            rec.false_pos, rec.false_neg = fp, fn
-            rec.frob_error = float(np.linalg.norm(
-                sol.H.entries - model.Pi.entries))
-            rec.objective = sol.objective
-            rec.iters = sol.iters
-            recovered += int(exact)
+            _score(rec, sol, model)
             _condition_flags(rec, model.Sigma, smat, 1, model.J, rho)
-        except (InvalidInput, SpsViolated, NotConverged, SearchFailure,
-                NumericalFailure) as e:
-            rec.error = str(e)
-        rec.wall_ms = int(round((time.perf_counter() - t0) * 1000))
-        records.append(rec)
+    recovered = sum(bool(rec.exact_recovery) for rec in records)
 
     _write_records(out_csv, records)
     _emit_summary({"command": "clique", "version": __version__,
@@ -481,13 +486,10 @@ def cmd_persist(config):
     records, cell_stats = [], []
     cells = list(itertools.product(n_axis, r_axis))
     for ci, (n, r) in enumerate(cells):
-        violations = 0
         for ti in range(config.trials):
             tseed = _trial_seed(seed, ci, ti)
-            rec = TrialRecord("persist", ci, ti, n=n, p=p, k=k, r_level=r,
-                              seed=tseed)
-            t0 = time.perf_counter()
-            try:
+            with _trial(records, TrialRecord("persist", ci, ti, n=n, p=p, k=k,
+                                             r_level=r, seed=tseed)) as rec:
                 if n == 0:
                     smat = model.Sigma
                 elif n < 2:
@@ -506,12 +508,8 @@ def cmd_persist(config):
                 rec.persist_bound = float(2.0 * r * np.max(np.abs(
                     as_sym(smat).entries - model.Sigma.entries)))
                 rec.sandwich_ok = rec.persist_gap >= -sandwich_tol
-                violations += int(not rec.sandwich_ok)
-            except (InvalidInput, SpsViolated, NotConverged, SearchFailure,
-                    NumericalFailure, InfeasibleConstraint) as e:
-                rec.error = str(e)
-            rec.wall_ms = int(round((time.perf_counter() - t0) * 1000))
-            records.append(rec)
+        violations = sum(not rec.sandwich_ok for rec in records[-config.trials:]
+                         if rec.sandwich_ok is not None)
         cell_stats.append({"cell": ci, "n": n, "r": r,
                            "trials": config.trials,
                            "sandwich_violations": violations})

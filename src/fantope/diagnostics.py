@@ -9,14 +9,16 @@ predictive-covariance persistence/stability bounds for the constrained
 form.  All checks are pure functions of their inputs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .base import SupportSet, as_support, entry_max_norm, l11_norm, row_l2_max
+from .base import SupportSet, _support_of, as_support, entry_max_norm, l11_norm, row_l2_max
 from .errors import InvalidInput, SpsViolated
 from .solver import SolverConfig, solve_fps, solve_fps_constrained
-from .spectral import FantopePoint, as_sym, eig_sym, procrustes_align, top_k_projector
+from .spectral import (FantopePoint, _check_order, _top_k, as_sym, eig_sym,
+                       procrustes_align)
 
 
 # ===== report types =====
@@ -88,13 +90,31 @@ class WitnessReport:
         }
 
 
-# ===== spectrum helpers =====
+# ===== population spectrum =====
 
-def _spectrum_gap(values, k):
-    p = values.shape[0]
-    if k == p:
-        return float("inf")
-    return float(values[k - 1] - values[k])
+class _Population(NamedTuple):
+    """What the recovery theory reads off one eigendecomposition of Sigma."""
+
+    gap: float           # lambda_k - lambda_{k+1}; +inf when k = p
+    lam1: float          # lambda_1
+    pi: FantopePoint     # top-k projector
+    support: SupportSet  # indices where Pi_ii passes the support rule
+
+
+def _population(sym, k):
+    _check_order(k, sym.dim)
+    spec = eig_sym(sym)
+    pi, gap = _top_k(spec, k)
+    return _Population(gap=gap, lam1=float(spec.eigenvalues[0]), pi=pi,
+                       support=_support_of(np.diag(pi.entries)))
+
+
+def _gapped(sym, k, why=""):
+    # the checks below are stated for an identifiable top-k subspace
+    pop = _population(sym, k)
+    if pop.gap <= 0:
+        raise SpsViolated(f"eigengap at order {k} is {pop.gap:.3e}{why}")
+    return pop
 
 
 def check_sps(sigma, k):
@@ -105,10 +125,17 @@ def check_sps(sigma, k):
     <= 1e-10 the projector is not identifiable and the returned support
     is an arbitrary representative -- treat it as unreliable.
     """
-    sym = as_sym(sigma)
-    point, gap = top_k_projector(sym, k)
-    support = SupportSet(tuple(np.nonzero(np.diag(point.entries) > 1e-10)[0]))
-    return gap, support
+    pop = _population(as_sym(sigma), k)
+    return pop.gap, pop.support
+
+
+def _lcc(sym, j, gap):
+    comp = j.complement(sym.dim)
+    if len(comp) == 0:
+        return 0.0, 1.0
+    block = sym.entries[np.ix_(comp.as_array(), j.as_array())]
+    lhs = float(8.0 * len(j) / gap * row_l2_max(block))
+    return lhs, max(0.0, 1.0 - lhs)
 
 
 def check_lcc(sigma, k, j):
@@ -119,19 +146,11 @@ def check_lcc(sigma, k, j):
     (lhs, alpha) with alpha = max(0, 1 - lhs).
     """
     sym = as_sym(sigma)
-    p = sym.dim
     j = as_support(j)
-    comp = j.complement(p)
-    if len(comp) == 0:
-        return 0.0, 1.0
-    w = eig_sym(sym).eigenvalues
-    gap = _spectrum_gap(w, k)
-    if gap <= 0:
-        raise SpsViolated(f"eigengap at order {k} is {gap:.3e}; correlation "
-                          "budget is undefined")
-    block = sym.entries[np.ix_(comp.as_array(), j.as_array())]
-    lhs = float(8.0 * len(j) / gap * row_l2_max(block))
-    return lhs, max(0.0, 1.0 - lhs)
+    if len(j.complement(sym.dim)) == 0:
+        return 0.0, 1.0  # no complement rows: nothing to budget, no gap needed
+    pop = _gapped(sym, k, "; correlation budget is undefined")
+    return _lcc(sym, j, pop.gap)
 
 
 def sign_rank_one(m, j, zero_tol=1e-12):
@@ -175,6 +194,34 @@ def l11_row_bound(point, row_tol=1e-10):
 
 # ===== recovery condition checks =====
 
+def _conditions(sym, k, j, rho, signed_floor):
+    """The condition report fields both checks share, from one spectrum.
+
+    Returns (report, population); det_cond1_lhs and prob_sample_ok are left
+    None for the caller to fill.
+    """
+    pop = _gapped(sym, k)
+    card = len(j)
+    jj = j.as_array()
+    lcc_lhs, lcc_alpha = _lcc(sym, j, pop.gap)
+    sub = sym.entries[np.ix_(jj, jj)]
+    floor = np.min(sub) if signed_floor else np.min(np.abs(sub))
+    rep = ConditionReport(
+        sps_gap=pop.gap,
+        sps_support=pop.support,
+        lcc_lhs=lcc_lhs,
+        lcc_alpha=lcc_alpha,
+        det_cond1_lhs=None,
+        det_cond2_slack=float(pop.gap - 4.0 * rho * card * (1.0 + 8.0 * pop.lam1 / pop.gap)),
+        signal_min_leverage=float(np.sqrt(np.min(np.diag(pop.pi.entries)[jj]))),
+        signal_leverage_required=4.0 * rho * card / pop.gap,
+        entrywise_min_ok=bool(floor > 2.0 * rho) and sign_rank_one(sym.entries, j),
+        prob_sample_ok=None,
+        rho=float(rho),
+    )
+    return rep, pop
+
+
 def check_recovery_conditions(sigma, s, k, j, rho):
     """Evaluate the exact-recovery conditions for a known population matrix.
 
@@ -194,40 +241,9 @@ def check_recovery_conditions(sigma, s, k, j, rho):
         raise InvalidInput("population and estimate dimensions differ")
     if rho <= 0:
         raise InvalidInput("recovery conditions are stated for rho > 0")
-    j = as_support(j)
-    card = len(j)
-    w = eig_sym(sym).eigenvalues
-    gap = _spectrum_gap(w, k)
-    if gap <= 0:
-        raise SpsViolated(f"eigengap at order {k} is {gap:.3e}")
-    lam1 = float(w[0])
-
-    lcc_lhs, lcc_alpha = check_lcc(sym, k, j)
+    rep, _ = _conditions(sym, k, as_support(j), rho, signed_floor=False)
     err = entry_max_norm(smat.entries - sym.entries)
-    cond1 = err / rho + lcc_lhs
-    cond2 = gap - 4.0 * rho * card * (1.0 + 8.0 * lam1 / gap)
-
-    pi, _ = top_k_projector(sym, k)
-    leverage = float(np.sqrt(np.min(np.diag(pi.entries)[j.as_array()])))
-    required = 4.0 * rho * card / gap
-
-    sub = sym.entries[np.ix_(j.as_array(), j.as_array())]
-    entrywise = bool(np.min(np.abs(sub)) > 2.0 * rho) and sign_rank_one(sym.entries, j)
-
-    _, sps_support = check_sps(sym, k)
-    return ConditionReport(
-        sps_gap=gap,
-        sps_support=sps_support,
-        lcc_lhs=lcc_lhs,
-        lcc_alpha=lcc_alpha,
-        det_cond1_lhs=float(cond1),
-        det_cond2_slack=float(cond2),
-        signal_min_leverage=leverage,
-        signal_leverage_required=required,
-        entrywise_min_ok=entrywise,
-        prob_sample_ok=None,
-        rho=float(rho),
-    )
+    return replace(rep, det_cond1_lhs=float(err / rho + rep.lcc_lhs))
 
 
 def check_sample_conditions(sigma, k, j, n, sigma_scale, alpha):
@@ -247,42 +263,12 @@ def check_sample_conditions(sigma, k, j, n, sigma_scale, alpha):
     if int(n) != n or n < 1 or n < np.log(p):
         raise InvalidInput(f"sample size n={n} must be an integer >= log(p)")
     j = as_support(j)
-    card = len(j)
-    w = eig_sym(sym).eigenvalues
-    gap = _spectrum_gap(w, k)
-    if gap <= 0:
-        raise SpsViolated(f"eigengap at order {k} is {gap:.3e}")
-    lam1 = float(w[0])
-
     rate = np.sqrt(np.log(p) / n)
     rho = float(sigma_scale / alpha * rate)
-    lhs_sample = card * rate
-    rhs_sample = alpha * gap**2 / (4.0 * sigma_scale * (8.0 * lam1 + gap))
-
-    lcc_lhs, lcc_alpha = check_lcc(sym, k, j)
-    cond2 = gap - 4.0 * rho * card * (1.0 + 8.0 * lam1 / gap)
-
-    pi, _ = top_k_projector(sym, k)
-    leverage = float(np.sqrt(np.min(np.diag(pi.entries)[j.as_array()])))
-    required = 4.0 * rho * card / gap
-
-    sub = sym.entries[np.ix_(j.as_array(), j.as_array())]
-    entrywise = bool(np.min(sub) > 2.0 * rho) and sign_rank_one(sym.entries, j)
-
-    _, sps_support = check_sps(sym, k)
-    return ConditionReport(
-        sps_gap=gap,
-        sps_support=sps_support,
-        lcc_lhs=lcc_lhs,
-        lcc_alpha=lcc_alpha,
-        det_cond1_lhs=None,
-        det_cond2_slack=float(cond2),
-        signal_min_leverage=leverage,
-        signal_leverage_required=required,
-        entrywise_min_ok=entrywise,
-        prob_sample_ok=bool(lhs_sample < rhs_sample),
-        rho=rho,
-    )
+    rep, pop = _conditions(sym, k, j, rho, signed_floor=True)
+    lhs_sample = len(j) * rate
+    rhs_sample = alpha * pop.gap**2 / (4.0 * sigma_scale * (8.0 * pop.lam1 + pop.gap))
+    return replace(rep, prob_sample_ok=bool(lhs_sample < rhs_sample))
 
 
 def frobenius_bound_check(sigma, s, k, j, rho, sol, tol=1e-6):
@@ -292,15 +278,10 @@ def frobenius_bound_check(sigma, s, k, j, rho, sol, tol=1e-6):
     ||S - Sigma||_max; the caller owns that choice.  Returns
     (lhs, rhs, ok).
     """
-    sym = as_sym(sigma)
     j = as_support(j)
-    w = eig_sym(sym).eigenvalues
-    gap = _spectrum_gap(w, k)
-    if gap <= 0:
-        raise SpsViolated(f"eigengap at order {k} is {gap:.3e}")
-    pi, _ = top_k_projector(sym, k)
-    lhs = float(np.linalg.norm(sol.H.entries - pi.entries))
-    rhs = float(4.0 * rho * len(j) / gap)
+    pop = _gapped(as_sym(sigma), k)
+    lhs = float(np.linalg.norm(sol.H.entries - pop.pi.entries))
+    rhs = float(4.0 * rho * len(j) / pop.gap)
     return lhs, rhs, bool(lhs <= rhs + tol)
 
 
@@ -342,10 +323,7 @@ def build_witness(sigma, s, k, j, rho, config=None):
     jj = j.as_array()
     jc = j.complement(p).as_array()
 
-    w = eig_sym(sym).eigenvalues
-    gap = _spectrum_gap(w, k)
-    if gap <= 0:
-        raise SpsViolated(f"eigengap at order {k} is {gap:.3e}")
+    gap = _gapped(sym, k).gap
 
     cfg = SolverConfig(k=k, rho=rho) if config is None else config.with_(k=k, rho=rho)
     sub_s = smat.entries[np.ix_(jj, jj)]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import DEFAULT_POLICY, SupportSet, as_support, entry_max_norm
+from .base import SupportSet, _support_of, as_support, entry_max_norm
 from .errors import DegenerateModel, InvalidInput
 from .spectral import FantopePoint, SymMat, as_sym, eig_sym, top_k_projector
 
@@ -44,12 +44,12 @@ class SampleBatch:
 
 # ===== generators =====
 
-def _finish_instance(sigma, k, expect_support, params, policy=DEFAULT_POLICY):
+def _finish_instance(sigma, k, expect_support, params):
     sig = as_sym(sigma)
-    pi, gap = top_k_projector(sig, k, policy)
+    pi, gap = top_k_projector(sig, k)
     if gap <= 0.0:
         raise DegenerateModel(f"population eigengap is {gap:.3e}")
-    got = SupportSet(tuple(np.nonzero(np.diag(pi.entries) > 1e-8)[0]))
+    got = _support_of(np.diag(pi.entries))
     want = as_support(expect_support)
     if got.indices != want.indices:
         raise DegenerateModel(
@@ -83,9 +83,10 @@ def gen_toy(t):
 def gen_spiked(p, k, j, spike_values, noise, seed):
     """Sparse spiked covariance: Sigma = U diag(spikes) U^T + noise * I.
 
-    U is an s x k Haar frame embedded on the rows in j; draws whose U has a
-    row below 1e-8 in norm are rejected and resampled (at most 100 tries).
-    The eigengap is spike_values[k-1] by construction.
+    U is an s x k Haar frame embedded on the rows in j.  Row i of U has
+    leverage Pi_ii = ||u_i||^2, so a draw with a row that fails the package's
+    support rule (leverage above 1e-10) is rejected and resampled (at most
+    100 tries).  The eigengap is spike_values[k-1] by construction.
     """
     j = as_support(j)
     spikes = np.asarray(spike_values, dtype=float)
@@ -102,7 +103,7 @@ def gen_spiked(p, k, j, spike_values, noise, seed):
     u = None
     for _ in range(100):
         cand, _ = np.linalg.qr(rng.normal(size=(s, k)))
-        if np.min(np.sqrt(np.sum(cand * cand, axis=1))) >= 1e-8:
+        if _support_of(np.sum(cand * cand, axis=1)).size == s:
             u = cand
             break
     if u is None:

@@ -9,11 +9,12 @@ term, which is what makes the dual certificate recoverable from the
 multiplier for free.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .base import DEFAULT_POLICY, SupportSet, entry_max_norm, l11_norm
+from .base import SupportSet, entry_max_norm, l11_norm
 from .errors import GapCollapsed, InfeasibleConstraint, InvalidInput, NotConverged, SearchFailure
 from .spectral import FantopePoint, _project, as_sym
 
@@ -36,6 +37,10 @@ class SolverConfig:
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 1:
             raise InvalidInput(f"k={self.k} must be a positive integer")
+        reals = (self.rho, self.tau_en, self.admm_step,
+                 self.eps_primal, self.eps_dual, self.support_tol)
+        if not all(math.isfinite(v) for v in reals):
+            raise InvalidInput("rho, tau_en, admm_step and the tolerances must be finite")
         if self.rho < 0 or self.tau_en < 0:
             raise InvalidInput("rho and tau_en must be non-negative")
         if self.admm_step <= 0:
@@ -367,7 +372,11 @@ def solve_fps_constrained(s, r_level, config, rel_slack=1e-3, max_doublings=60):
 
 # ===== uniqueness probe =====
 
-def uniqueness_probe(s, config, unique_tol=1e-5, policy=DEFAULT_POLICY):
+# an eigengap of S - rho Z at or below this is a tie: the maximizer is not unique
+_GAP_TIE_TOL = 1e-10
+
+
+def uniqueness_probe(s, config, unique_tol=1e-5):
     """Two-route uniqueness check for the penalized solution.
 
     Solves the plain problem, reads the eigengap of S - rho Z at order k,
@@ -394,7 +403,7 @@ def uniqueness_probe(s, config, unique_tol=1e-5, policy=DEFAULT_POLICY):
     grad = sym - config.rho * sol.Z
     w = np.linalg.eigvalsh(grad)
     gap = float(w[-config.k] - w[-config.k - 1])
-    if gap <= policy.gap_tie_tol:
+    if gap <= _GAP_TIE_TOL:
         raise GapCollapsed(
             f"eigengap of S - rho Z at order k={config.k} is {gap:.3e}; "
             "the penalized maximizer is not certifiably unique"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_POLICY, check_square, sym_residual
+from .base import check_square, sym_residual
 from .errors import InvalidInput, NumericalFailure
 
 
@@ -61,6 +61,12 @@ class Spectrum:
         return (v * w) @ v.T
 
 
+# how far a validated Fantope point's eigenvalues may leave [0, 1], and its
+# trace may leave k (relative to k)
+_FANTOPE_EIG_TOL = 1e-8
+_FANTOPE_TRACE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class FantopePoint:
     """A member of the trace-k Fantope, with its certified constraint residual.
@@ -75,7 +81,7 @@ class FantopePoint:
     constraint_residual: float
 
     @classmethod
-    def from_entries(cls, entries, k, policy=DEFAULT_POLICY, validate=True):
+    def from_entries(cls, entries, k, validate=True):
         a = check_square(entries, "Fantope point")
         p = a.shape[0]
         _check_order(k, p)
@@ -89,9 +95,9 @@ class FantopePoint:
         tr = abs(float(np.sum(w)) - k)
         resid = max(sresid, box, tr)
         if validate:
-            if box > policy.fantope_eig_tol:
+            if box > _FANTOPE_EIG_TOL:
                 raise InvalidInput(f"eigenvalues outside [0,1] by {box:.3e}")
-            if tr > policy.fantope_trace_tol * max(k, 1):
+            if tr > _FANTOPE_TRACE_TOL * max(k, 1):
                 raise InvalidInput(f"trace off by {tr:.3e} from k={k}")
         sym.flags.writeable = False
         return cls(dim=p, k=int(k), entries=sym, constraint_residual=resid)
@@ -186,7 +192,7 @@ def _project(m, k):
     return 0.5 * (h + h.T), theta, gamma, v, g
 
 
-def fantope_project(a, k, policy=DEFAULT_POLICY):
+def fantope_project(a, k):
     """Euclidean projection of a symmetric matrix onto the trace-k Fantope.
 
     Diagonalizes the input and water-fills the spectrum: the projection is
@@ -212,18 +218,23 @@ def fantope_project(a, k, policy=DEFAULT_POLICY):
     )
 
 
-def top_k_projector(a, k, policy=DEFAULT_POLICY):
+def top_k_projector(a, k):
     """Orthogonal projector onto the span of the top-k eigenvectors.
 
     Returns (point, gap) where gap = gamma_k - gamma_{k+1}; the projector is
-    the unique Fantope maximizer of <A, H> iff gap > 0, so a gap at or below
-    policy.gap_tie_tol flags a tie.  gap is +inf when k = p.
+    the unique Fantope maximizer of <A, H> iff gap > 0, so a gap at or
+    below the solver's tie tolerance (1e-10) flags a tie.  gap is +inf when
+    k = p.
     """
     s = as_sym(a)
-    p = s.dim
-    _check_order(k, p)
-    spec = eig_sym(s)
+    _check_order(k, s.dim)
+    return _top_k(eig_sym(s), k)
+
+
+def _top_k(spec, k):
+    """top_k_projector's (point, gap), read off an existing descending Spectrum."""
     w, v = spec.eigenvalues, spec.eigenvectors
+    p = spec.dim
     vk = v[:, :k]
     ent = vk @ vk.T
     ent = 0.5 * (ent + ent.T)
@@ -236,7 +247,11 @@ def top_k_projector(a, k, policy=DEFAULT_POLICY):
     return point, gap
 
 
-def procrustes_align(u, v, policy=DEFAULT_POLICY):
+# orthonormality residual max|F^T F - I| allowed in an input frame
+_ORTH_TOL = 1e-8
+
+
+def procrustes_align(u, v):
     """Best orthogonal alignment of two orthonormal k-frames.
 
     Returns (omega, dist): the k x k orthogonal matrix minimizing
@@ -253,7 +268,7 @@ def procrustes_align(u, v, policy=DEFAULT_POLICY):
     kk = u.shape[1]
     for name, f in (("first", u), ("second", v)):
         err = np.max(np.abs(f.T @ f - np.eye(kk))) if kk else 0.0
-        if err > policy.orth_tol:
+        if err > _ORTH_TOL:
             raise InvalidInput(f"{name} frame is not orthonormal (residual {err:.3e})")
     try:
         pmat, _, qt = np.linalg.svd(v.T @ u)

@@ -109,6 +109,16 @@ class TestConfigParsing:
         with pytest.raises(InvalidInput):
             ExperimentConfig(grid={"n": ()})
 
+    @pytest.mark.parametrize("trials", ["2.0", "1.5", "nan"])
+    @pytest.mark.parametrize("command", ["phase", "persist"])
+    def test_non_integer_trials_is_an_input_error(self, tmp_path, command, trials):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"p = 10\nk = 1\ns = 3\nspike_values = 2.0\n"
+                        f"grid_n = 500\ngrid_r = 2.0\ntrials = {trials}\n"
+                        f"output_path = {tmp_path / 'out.csv'}\n")
+        assert main([command, "--config", str(path)]) == 1
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSolveCmd:
     def test_penalized_toy_solve(self, toy_csv, capsys):
@@ -134,6 +144,13 @@ class TestSolveCmd:
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
         assert main(["solve", str(bad), "--k", "1"]) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--rho", "nan"), ("--rho", "inf"), ("--tau-en", "nan"),
+        ("--step", "inf"), ("--eps", "nan"), ("--support-tol", "nan"),
+    ])
+    def test_non_finite_setting_is_an_input_error(self, toy_csv, flag, value, capsys):
+        assert main(["solve", toy_csv, "--k", "1", flag, value]) == 1
 
     def test_iteration_starvation_exits_two(self, toy_csv, capsys):
         code = main(["solve", toy_csv, "--k", "1", "--rho", "0.05",
@@ -176,6 +193,12 @@ class TestCliqueCmd:
     def test_bad_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("FPS_SEED", "not-a-seed")
         assert main(["clique", "--p", "20", "--s", "5", "--trials", "1"]) == 1
+
+    @pytest.mark.parametrize("p", ["0", "1", "2"])
+    def test_graph_too_small_is_an_input_error(self, tmp_path, monkeypatch, capsys, p):
+        monkeypatch.chdir(tmp_path)
+        assert main(["clique", "--p", p, "--s", "2", "--trials", "1"]) == 1
+        assert not (tmp_path / "clique_results.csv").exists()
 
     def test_clique_larger_than_graph(self, tmp_path, monkeypatch, capsys):
         # no --out: the default CSV and summary land in the working directory

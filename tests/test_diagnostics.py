@@ -220,6 +220,53 @@ class TestSampleConditions:
             check_sample_conditions(m.Sigma, 1, m.J, 100, 1.0, 1.5)
 
 
+class TestOnePopulationSpectrum:
+    @staticmethod
+    def spiked_pair():
+        m = gen_spiked(30, 2, (1, 4, 9, 16, 25), (3.0, 2.0), 1.0, seed=3)
+        return m, sample_covariance(sample_gaussian(m, 2000, seed=4)).entries
+
+    @pytest.mark.parametrize("check", [
+        lambda m, s, sol: check_recovery_conditions(m.Sigma, s, 2, m.J, 0.1),
+        lambda m, s, sol: check_sample_conditions(m.Sigma, 2, m.J, 2000, 3.0, 0.5),
+        lambda m, s, sol: frobenius_bound_check(m.Sigma, s, 2, m.J, 0.1, sol),
+    ], ids=["recovery", "sample", "frobenius"])
+    def test_one_eigendecomposition_of_sigma(self, monkeypatch, check):
+        m, s = self.spiked_pair()
+        sol = solve_fps(s, SolverConfig(k=2, rho=0.1))
+        real, calls = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        check(m, s, sol)
+        assert calls.count((30, 30)) == 1
+
+    def test_reports_are_permutation_invariant(self):
+        m, s = self.spiked_pair()
+        sigma = m.Sigma.entries
+        perm = np.random.default_rng(5).permutation(30)
+        inv = np.argsort(perm)  # old index i sits at new index inv[i]
+        sig_p, s_p = sigma[np.ix_(perm, perm)], s[np.ix_(perm, perm)]
+        j_p = inv[m.J.as_array()]
+        pairs = [
+            (check_recovery_conditions(sigma, s, 2, m.J, 0.1),
+             check_recovery_conditions(sig_p, s_p, 2, j_p, 0.1)),
+            (check_sample_conditions(sigma, 2, m.J, 2000, 3.0, 0.5),
+             check_sample_conditions(sig_p, 2, j_p, 2000, 3.0, 0.5)),
+        ]
+        for before, after in pairs:
+            a, b = before.to_flat_dict(), after.to_flat_dict()
+            assert b.pop("sps_support") == sorted(inv[a.pop("sps_support")])
+            for key, value in a.items():
+                if value is None or isinstance(value, bool):
+                    assert b[key] == value, key
+                else:
+                    assert b[key] == pytest.approx(value, rel=1e-12), key
+
+
 class TestFrobeniusBound:
     def test_toy_small_penalty(self):
         sol = solve_fps(TOY, SolverConfig(k=1, rho=0.01))

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fantope.diagnostics import check_sps
 from fantope.errors import InvalidInput
 from fantope.models import (
     entrywise_error,
@@ -81,6 +82,15 @@ class TestSpikedModel:
         npt.assert_array_equal(a.Sigma.entries, b.Sigma.entries)
         c = gen_spiked(8, 1, (0, 3, 7), (2.5,), 0.5, seed=43)
         assert np.max(np.abs(a.Sigma.entries - c.Sigma.entries)) > 1e-6
+
+    def test_low_leverage_row_passes_the_one_support_rule(self):
+        # this draw's frame row 0 has leverage Pi_00 ~ 2.9e-10: above the
+        # support cut, so the frame is kept and the model's support agrees
+        # with check_sps
+        m = gen_spiked(50, 1, range(5), (2.0,), 1.0, seed=117)
+        assert 1e-10 < m.Pi.entries[0, 0] < 1e-8
+        assert m.J.indices == (0, 1, 2, 3, 4)
+        assert check_sps(m.Sigma, 1)[1].indices == (0, 1, 2, 3, 4)
 
     def test_validation(self):
         with pytest.raises(InvalidInput):

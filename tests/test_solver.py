@@ -72,6 +72,13 @@ class TestSolverConfig:
         with pytest.raises(InvalidInput):
             SolverConfig(k=1, eps_primal=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["rho", "tau_en", "admm_step", "eps_primal",
+                                      "eps_dual", "support_tol"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(InvalidInput):
+            SolverConfig(k=1, **{name: value})
+
     def test_k_larger_than_p(self):
         with pytest.raises(InvalidInput):
             solve_fps(np.eye(2), SolverConfig(k=3))

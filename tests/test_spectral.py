@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fantope.base import DEFAULT_POLICY
 from fantope.errors import InvalidInput
+from fantope.solver import _GAP_TIE_TOL
 from fantope.spectral import (
     FantopePoint,
     SymMat,
@@ -268,7 +268,7 @@ class TestTopKProjector:
 
     def test_tie_flagged_by_gap(self):
         _, gap = top_k_projector(np.eye(3), 1)
-        assert gap <= DEFAULT_POLICY.gap_tie_tol
+        assert gap <= _GAP_TIE_TOL
 
 
 class TestProcrustesAlign:
