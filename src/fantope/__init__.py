@@ -18,8 +18,8 @@ from .spectral import (SymMat, Spectrum, FantopePoint, FantopeProjectionResult,
                        as_sym, eig_sym, fantope_project, top_k_projector,
                        procrustes_align)
 from .solver import (SolverConfig, KktReport, FpsSolution, UniquenessProbe,
-                     soft_threshold, solve_fps, solve_fps_en,
-                     solve_fps_constrained, check_kkt, uniqueness_probe)
+                     soft_threshold, solve_fps, solve_fps_constrained,
+                     check_kkt, uniqueness_probe)
 from .diagnostics import (ConditionReport, WitnessReport, check_sps, check_lcc,
                           sign_rank_one, support_error, l11_row_bound,
                           check_recovery_conditions, check_sample_conditions,
@@ -39,7 +39,7 @@ __all__ = [
     "as_sym", "eig_sym", "fantope_project", "top_k_projector",
     "procrustes_align",
     "SolverConfig", "KktReport", "FpsSolution", "UniquenessProbe",
-    "soft_threshold", "solve_fps", "solve_fps_en", "solve_fps_constrained",
+    "soft_threshold", "solve_fps", "solve_fps_constrained",
     "check_kkt", "uniqueness_probe",
     "ConditionReport", "WitnessReport", "check_sps", "check_lcc",
     "sign_rank_one", "support_error", "l11_row_bound",

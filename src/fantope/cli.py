@@ -47,7 +47,7 @@ from .base import as_support
 from .errors import (InfeasibleConstraint, InvalidInput, NotConverged,
                      NumericalFailure, SearchFailure, SpsViolated)
 from .spectral import as_sym, eig_sym
-from .solver import SolverConfig, solve_fps, solve_fps_constrained, solve_fps_en
+from .solver import SolverConfig, solve_fps, solve_fps_constrained
 from .models import (gen_planted_clique, gen_spiked, gen_toy, load_matrix_csv,
                      sample_covariance, sample_gaussian, save_matrix_csv)
 from .diagnostics import (check_lcc, check_recovery_conditions,
@@ -178,17 +178,9 @@ def _trial_seed(seed, cell, trial):
 
 
 def _solver_config(k, rho, tolerances):
-    kw = {"k": k, "rho": rho}
-    if "support_tol" in tolerances:
-        kw["support_tol"] = tolerances["support_tol"]
-    if "eps" in tolerances:
-        kw["eps_primal"] = tolerances["eps"]
-        kw["eps_dual"] = tolerances["eps"]
-    if "max_iters" in tolerances:
-        kw["max_iters"] = int(tolerances["max_iters"])
-    if "admm_step" in tolerances:
-        kw["admm_step"] = tolerances["admm_step"]
-    return SolverConfig(**kw)
+    kw = {key: tolerances[key] for key in ("support_tol", "eps", "max_iters", "admm_step")
+          if key in tolerances}
+    return SolverConfig(k=k, rho=rho, **kw)
 
 
 # ===== trial records =====
@@ -245,21 +237,27 @@ def _fmt(v):
     return str(v)
 
 
-def _write_records(path, records):
-    with open(path, "w", newline="") as fh:
+def _stem(path):
+    return path[:-4] if path.endswith(".csv") else path
+
+
+def _emit_json(summary, path=None):
+    """Print summary as JSON, and write it to path when one is given."""
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
+def _write_outputs(out_csv, records, summary):
+    """The trial CSV, its .summary.json sidecar, and the summary on stdout."""
+    with open(out_csv, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRIAL_FIELDS)
         for rec in records:
             w.writerow(rec.row())
-
-
-def _emit_summary(summary, csv_path):
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if csv_path is not None:
-        base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-        with open(base + ".summary.json", "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit_json(summary, _stem(out_csv) + ".summary.json")
 
 
 # typed errors that fail one trial: recorded in its row, never fatal
@@ -307,19 +305,17 @@ def cmd_solve(matrix_csv, k, rho, tau_en=0.0, support_tol=1e-6, eps=1e-7,
     """Solve one matrix from CSV and print a JSON solution summary."""
     s = load_matrix_csv(matrix_csv)
     cfg = SolverConfig(k=k, rho=rho, tau_en=tau_en, support_tol=support_tol,
-                       eps_primal=eps, eps_dual=eps, max_iters=int(max_iters),
-                       admm_step=admm_step)
-    sol = solve_fps_en(s, cfg) if tau_en > 0 else solve_fps(s, cfg)
+                       eps=eps, max_iters=max_iters, admm_step=admm_step)
+    sol = solve_fps(s, cfg)
     if out_h is None:
-        base = matrix_csv[:-4] if matrix_csv.endswith(".csv") else matrix_csv
-        out_h = base + ".H.csv"
+        out_h = _stem(matrix_csv) + ".H.csv"
     save_matrix_csv(out_h, sol.H.entries)
     summary = {
         "command": "solve",
         "version": __version__,
         "config": {"matrix_csv": matrix_csv, "k": k, "rho": rho,
                    "tau_en": tau_en, "support_tol": support_tol, "eps": eps,
-                   "max_iters": int(max_iters), "admm_step": admm_step},
+                   "max_iters": cfg.max_iters, "admm_step": admm_step},
         "h_csv": out_h,
         "support": list(sol.support.indices),
         "objective": sol.objective,
@@ -327,13 +323,10 @@ def cmd_solve(matrix_csv, k, rho, tau_en=0.0, support_tol=1e-6, eps=1e-7,
         "primal_residual": sol.primal_residual,
         "dual_residual": sol.dual_residual,
         "dual_clip_excess": sol.dual_clip_excess,
-        "kkt": {
-            "sign_mismatch": sol.kkt.sign_mismatch,
-            "dual_bound_violation": sol.kkt.dual_bound_violation,
-            "fantope_optimality_gap": sol.kkt.fantope_optimality_gap,
-        },
+        "kkt": {name: getattr(sol.kkt, name) for name in
+                ("sign_mismatch", "dual_bound_violation", "fantope_optimality_gap")},
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit_json(summary)
     return 0
 
 
@@ -362,6 +355,9 @@ def cmd_phase(config):
         raise InvalidInput("phase needs a grid_n axis")
     cells = list(itertools.product(*(config.grid[a] for a in axes)))
     out_csv = config.output_path or "phase_results.csv"
+    # built before any trial so a bad tolerance is an input error, not a row;
+    # k and rho are set per cell and trial
+    solver = _solver_config(1, 0.0, config.tolerances)
 
     records, cell_stats = [], []
     for ci, values in enumerate(cells):
@@ -401,7 +397,7 @@ def cmd_phase(config):
                             "set an explicit alpha or rho grid")
                     rho = (sigma_hat / alpha) * math.sqrt(math.log(p) / n)
                 rec.rho = rho
-                sol = solve_fps(smat, _solver_config(k, rho, config.tolerances))
+                sol = solve_fps(smat, solver.with_(k=k, rho=rho))
                 _score(rec, sol, model)
                 _condition_flags(rec, model.Sigma, smat, k, model.J, rho)
                 try:
@@ -415,10 +411,10 @@ def cmd_phase(config):
                            "trials": config.trials,
                            "frequency": recovered / config.trials})
 
-    _write_records(out_csv, records)
-    _emit_summary({"command": "phase", "version": __version__,
-                   "config": config.resolved(), "seed": seed,
-                   "output_csv": out_csv, "cells": cell_stats}, out_csv)
+    _write_outputs(out_csv, records,
+                   {"command": "phase", "version": __version__,
+                    "config": config.resolved(), "seed": seed,
+                    "output_csv": out_csv, "cells": cell_stats})
     return 0
 
 
@@ -448,14 +444,13 @@ def cmd_clique(p, s, trials, seed, rho_mult=CLIQUE_RHO_MULT,
             _condition_flags(rec, model.Sigma, smat, 1, model.J, rho)
     recovered = sum(bool(rec.exact_recovery) for rec in records)
 
-    _write_records(out_csv, records)
-    _emit_summary({"command": "clique", "version": __version__,
-                   "config": {"p": p, "s": s, "trials": trials, "seed": seed,
-                              "rho_mult": rho_mult, "rho": rho,
-                              "support_tol": support_tol},
-                   "output_csv": out_csv, "recovered": recovered,
-                   "trials": trials, "frequency": recovered / trials},
-                  out_csv)
+    _write_outputs(out_csv, records,
+                   {"command": "clique", "version": __version__,
+                    "config": {"p": p, "s": s, "trials": trials, "seed": seed,
+                               "rho_mult": rho_mult, "rho": rho,
+                               "support_tol": support_tol},
+                    "output_csv": out_csv, "recovered": recovered,
+                    "trials": trials, "frequency": recovered / trials})
     return 0
 
 
@@ -514,10 +509,10 @@ def cmd_persist(config):
                            "trials": config.trials,
                            "sandwich_violations": violations})
 
-    _write_records(out_csv, records)
-    _emit_summary({"command": "persist", "version": __version__,
-                   "config": config.resolved(), "seed": seed,
-                   "output_csv": out_csv, "cells": cell_stats}, out_csv)
+    _write_outputs(out_csv, records,
+                   {"command": "persist", "version": __version__,
+                    "config": config.resolved(), "seed": seed,
+                    "output_csv": out_csv, "cells": cell_stats})
     return 0
 
 
@@ -555,11 +550,7 @@ def cmd_certify(sigma_csv, s_csv, k, j, rho, out=None):
         "clauses": clauses,
         "certified": certified,
     }
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if out is not None:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit_json(summary, out)
     return 0 if certified else 3
 
 
@@ -634,13 +625,10 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidInput, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (NotConverged, SearchFailure, NumericalFailure,
+    except (InvalidInput, OSError, NotConverged, SearchFailure, NumericalFailure,
             InfeasibleConstraint) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, (InvalidInput, OSError)) else 2
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ class ConditionReport:
     rho: float
 
     def to_flat_dict(self):
-        d = {
+        return {
             "sps_gap": self.sps_gap,
             "sps_support": list(self.sps_support.indices),
             "lcc_lhs": self.lcc_lhs,
@@ -59,7 +59,6 @@ class ConditionReport:
             "prob_sample_ok": self.prob_sample_ok,
             "rho": self.rho,
         }
-        return d
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,13 @@ def _population(sym, k):
                        support=_support_of(np.diag(pi.entries)))
 
 
+def _pair(sigma, s):
+    sym, smat = as_sym(sigma), as_sym(s)
+    if sym.dim != smat.dim:
+        raise InvalidInput("population and estimate dimensions differ")
+    return sym, smat
+
+
 def _gapped(sym, k, why=""):
     # the checks below are stated for an identifiable top-k subspace
     pop = _population(sym, k)
@@ -153,17 +159,20 @@ def check_lcc(sigma, k, j):
     return _lcc(sym, j, pop.gap)
 
 
-def sign_rank_one(m, j, zero_tol=1e-12):
+_SIGN_ZERO_TOL = 1e-12  # an entry this small has no sign
+
+
+def sign_rank_one(m, j):
     """Whether sign(M[J, J]) factors as an outer product b b^T, b in {-1,1}^s.
 
-    Any entry with magnitude <= zero_tol disqualifies the pattern.  The
+    Any entry with magnitude <= 1e-12 disqualifies the pattern.  The
     check fixes b from the first row's signs and verifies consistency,
     which is equivalent to the exhaustive search over all sign vectors.
     """
     m = np.asarray(m, dtype=float)
     j = as_support(j)
     sub = m[np.ix_(j.as_array(), j.as_array())]
-    if np.any(np.abs(sub) <= zero_tol):
+    if np.any(np.abs(sub) <= _SIGN_ZERO_TOL):
         return False
     sgn = np.sign(sub)
     b = sgn[0, :]
@@ -179,15 +188,18 @@ def support_error(est, truth):
     return fp, fn, (fp == 0 and fn == 0)
 
 
-def l11_row_bound(point, row_tol=1e-10):
-    """Sparsity bound ||H||_1,1 <= k * (number of rows with norm > row_tol).
+_ROW_TOL = 1e-10  # a row of H with l2 norm at most this counts as zero
+
+
+def l11_row_bound(point):
+    """Sparsity bound ||H||_1,1 <= k * (number of rows with norm > 1e-10).
 
     Returns (lhs, rhs, ok).  Holds for every Fantope member by
     Cauchy-Schwarz, with k = trace(H).
     """
     h = point.entries
     lhs = l11_norm(h)
-    rows = int(np.count_nonzero(np.sqrt((h * h).sum(axis=1)) > row_tol))
+    rows = int(np.count_nonzero(np.sqrt((h * h).sum(axis=1)) > _ROW_TOL))
     rhs = float(point.k * rows)
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-9))
 
@@ -235,10 +247,7 @@ def check_recovery_conditions(sigma, s, k, j, rho):
         sign pattern on the support block.
     prob_sample_ok is None here; it belongs to the sampling-based check.
     """
-    sym = as_sym(sigma)
-    smat = as_sym(s)
-    if sym.dim != smat.dim:
-        raise InvalidInput("population and estimate dimensions differ")
+    sym, smat = _pair(sigma, s)
     if rho <= 0:
         raise InvalidInput("recovery conditions are stated for rho > 0")
     rep, _ = _conditions(sym, k, as_support(j), rho, signed_floor=False)
@@ -271,8 +280,11 @@ def check_sample_conditions(sigma, k, j, n, sigma_scale, alpha):
     return replace(rep, prob_sample_ok=bool(lhs_sample < rhs_sample))
 
 
-def frobenius_bound_check(sigma, s, k, j, rho, sol, tol=1e-6):
-    """Frobenius error bound ||H - Pi||_F <= 4*rho*s/gap.
+_FROBENIUS_TOL = 1e-6  # slack on the bound for the solver's own error
+
+
+def frobenius_bound_check(sigma, s, k, j, rho, sol):
+    """Frobenius error bound ||H - Pi||_F <= 4*rho*s/gap (up to 1e-6).
 
     The bound's regime needs rho at least the entrywise error
     ||S - Sigma||_max; the caller owns that choice.  Returns
@@ -282,7 +294,7 @@ def frobenius_bound_check(sigma, s, k, j, rho, sol, tol=1e-6):
     pop = _gapped(as_sym(sigma), k)
     lhs = float(np.linalg.norm(sol.H.entries - pop.pi.entries))
     rhs = float(4.0 * rho * len(j) / pop.gap)
-    return lhs, rhs, bool(lhs <= rhs + tol)
+    return lhs, rhs, bool(lhs <= rhs + _FROBENIUS_TOL)
 
 
 # ===== dual certificate =====
@@ -293,7 +305,7 @@ def _aligned_eigvecs(mat, k):
     return spec.eigenvectors[:, :k], spec.eigenvectors[:, k:]
 
 
-def build_witness(sigma, s, k, j, rho, config=None):
+def build_witness(sigma, s, k, j, rho):
     """Construct the explicit primal-dual certificate for support recovery.
 
     Solves the support-restricted problem on S[J, J], recovers that
@@ -311,11 +323,8 @@ def build_witness(sigma, s, k, j, rho, config=None):
     """
     if rho <= 1e-12:
         raise InvalidInput("certificate construction divides by rho; need rho > 1e-12")
-    sym = as_sym(sigma)
-    smat = as_sym(s)
+    sym, smat = _pair(sigma, s)
     p = sym.dim
-    if sym.dim != smat.dim:
-        raise InvalidInput("population and estimate dimensions differ")
     j = as_support(j)
     card = len(j)
     if card < k:
@@ -325,14 +334,16 @@ def build_witness(sigma, s, k, j, rho, config=None):
 
     gap = _gapped(sym, k).gap
 
-    cfg = SolverConfig(k=k, rho=rho) if config is None else config.with_(k=k, rho=rho)
     sub_s = smat.entries[np.ix_(jj, jj)]
-    sub_sol = solve_fps(sub_s, cfg)
+    sub_sol = solve_fps(sub_s, SolverConfig(k=k, rho=rho))
     z_sub = sub_sol.Z
 
+    # block-diag(B, 0) has B's spectrum plus zeros: B's residual carries over
     htilde = np.zeros((p, p))
     htilde[np.ix_(jj, jj)] = sub_sol.H.entries
-    htilde_point = FantopePoint.from_entries(htilde, k, validate=False)
+    htilde.flags.writeable = False
+    htilde_point = FantopePoint(dim=p, k=sub_sol.H.k, entries=htilde,
+                                constraint_residual=sub_sol.H.constraint_residual)
 
     sigma_jj = sym.entries[np.ix_(jj, jj)]
     u_hat_lead, u_hat_trail = _aligned_eigvecs(sub_s - rho * z_sub, k)
@@ -387,7 +398,7 @@ def build_witness(sigma, s, k, j, rho, config=None):
 
 # ===== predictive covariance: persistence and stability =====
 
-def persistence_gap(sigma, s, k, r_level, config=None):
+def persistence_gap(sigma, s, k, r_level):
     """Predictive-covariance loss of the estimated constrained solution.
 
     pop_value is the best constrained predictive covariance <Sigma, H>
@@ -396,20 +407,16 @@ def persistence_gap(sigma, s, k, r_level, config=None):
     and bounded by 2*R*||S - Sigma||_max.  Returns (pop_value,
     emp_value, gap, bound).
     """
-    sym = as_sym(sigma)
-    smat = as_sym(s)
-    if sym.dim != smat.dim:
-        raise InvalidInput("population and estimate dimensions differ")
-    cfg = SolverConfig(k=k) if config is None else config.with_(k=k)
-    h_pop, _ = solve_fps_constrained(sym.entries, r_level, cfg)
-    h_emp, _ = solve_fps_constrained(smat.entries, r_level, cfg)
+    sym, smat = _pair(sigma, s)
+    h_pop, _ = solve_fps_constrained(sym.entries, r_level, SolverConfig(k=k))
+    h_emp, _ = solve_fps_constrained(smat.entries, r_level, SolverConfig(k=k))
     pop_value = float(np.sum(sym.entries * h_pop.H.entries))
     emp_value = float(np.sum(sym.entries * h_emp.H.entries))
     bound = float(2.0 * r_level * entry_max_norm(smat.entries - sym.entries))
     return pop_value, emp_value, pop_value - emp_value, bound
 
 
-def stability_check(sigma, delta, k, r_level, config=None):
+def stability_check(sigma, delta, k, r_level):
     """Continuity of the constrained predictive covariance value.
 
     f(M) = max <M, H> over the Fantope intersected with the l1 budget;
@@ -420,9 +427,8 @@ def stability_check(sigma, delta, k, r_level, config=None):
     dmat = as_sym(delta)
     if sym.dim != dmat.dim:
         raise InvalidInput("perturbation dimension differs from the matrix")
-    cfg = SolverConfig(k=k) if config is None else config.with_(k=k)
-    sol_a, _ = solve_fps_constrained(sym.entries, r_level, cfg)
-    sol_b, _ = solve_fps_constrained(sym.entries + dmat.entries, r_level, cfg)
+    sol_a, _ = solve_fps_constrained(sym.entries, r_level, SolverConfig(k=k))
+    sol_b, _ = solve_fps_constrained(sym.entries + dmat.entries, r_level, SolverConfig(k=k))
     f_a = float(np.sum(sym.entries * sol_a.H.entries))
     f_b = float(np.sum((sym.entries + dmat.entries) * sol_b.H.entries))
     bound = float(2.0 * r_level * entry_max_norm(dmat.entries))

@@ -1,7 +1,8 @@
 """Sparse principal subspace estimation over the trace-k Fantope.
 
 Solves  max <S, H> - rho * ||H||_1,1 - (tau/2) * ||H||_F^2  over the
-Fantope by operator splitting: an H-block that stays exactly feasible
+Fantope (tau = 0 the l1 problem, tau > 0 the elastic net; `solve_fps`
+solves both) by operator splitting: an H-block that stays exactly feasible
 (every update is a Fantope projection), a Y-block that stays exactly
 sparse (entrywise soft-threshold), and a scaled multiplier U gluing them
 together.  At a fixed point (step/rho) * U is a subgradient of the l1
@@ -10,6 +11,7 @@ multiplier for free.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,34 +23,39 @@ from .spectral import FantopePoint, _project, as_sym
 
 # ===== configuration and result types =====
 
+def _positive_int(name, value):
+    # integer-valued floats (a config file's "2.0") are accepted and stored as int
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < 1):
+        raise InvalidInput(f"{name}={value!r} must be a positive integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the splitting solver; defaults follow the reference tuning."""
+    """Knobs for the splitting solver; defaults follow the reference tuning.
+
+    A solve converges once both residuals are at most eps * sqrt(p).
+    """
 
     k: int
     rho: float = 0.0
     tau_en: float = 0.0
     admm_step: float = 1.0
     max_iters: int = 20000
-    eps_primal: float = 1e-7
-    eps_dual: float = 1e-7
+    eps: float = 1e-7
     support_tol: float = 1e-6
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise InvalidInput(f"k={self.k} must be a positive integer")
-        reals = (self.rho, self.tau_en, self.admm_step,
-                 self.eps_primal, self.eps_dual, self.support_tol)
-        if not all(math.isfinite(v) for v in reals):
-            raise InvalidInput("rho, tau_en, admm_step and the tolerances must be finite")
+        object.__setattr__(self, "k", _positive_int("k", self.k))
+        object.__setattr__(self, "max_iters", _positive_int("max_iters", self.max_iters))
+        reals = (self.rho, self.tau_en, self.admm_step, self.eps, self.support_tol)
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in reals):
+            raise InvalidInput("rho, tau_en, admm_step and the tolerances must be finite numbers")
         if self.rho < 0 or self.tau_en < 0:
             raise InvalidInput("rho and tau_en must be non-negative")
-        if self.admm_step <= 0:
-            raise InvalidInput("admm_step must be positive")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 1:
-            raise InvalidInput("max_iters must be a positive integer")
-        if min(self.eps_primal, self.eps_dual, self.support_tol) <= 0:
-            raise InvalidInput("tolerances must be strictly positive")
+        if min(self.admm_step, self.eps, self.support_tol) <= 0:
+            raise InvalidInput("admm_step and the tolerances must be positive")
 
     def with_(self, **kw):
         return replace(self, **kw)
@@ -56,11 +63,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class KktReport:
-    """Stationarity residuals of a primal-dual pair (all ~0 at an optimum)."""
+    """Stationarity residuals of a primal-dual pair (all ~0 at an optimum).
+
+    eigengap is lambda_k - lambda_{k+1} of the gradient S - rho Z - tau H
+    that fantope_optimality_gap is read from (+inf when k = p).
+    """
 
     sign_mismatch: float
     dual_bound_violation: float
     fantope_optimality_gap: float
+    eigengap: float
 
 
 @dataclass(frozen=True)
@@ -114,16 +126,12 @@ def soft_threshold(a, level):
 def _extract_support(h, support_tol, primal_residual):
     # entries below the solver's own resolution are numerical dust, not support
     d = np.diag(h)
-    floor = 4.0 * primal_residual
     top = float(np.max(d)) if d.size else 0.0
-    cut = max(support_tol * top, floor)
+    cut = max(support_tol * top, 4.0 * primal_residual)
     return SupportSet(tuple(np.nonzero(d > cut)[0]))
 
 
-def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual):
-    s = np.asarray(s, dtype=float)
-    h = np.asarray(h, dtype=float)
-    z = np.asarray(z, dtype=float)
+def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual, tau=0.0):
     p = s.shape[0]
     off = ~np.eye(p, dtype=bool)
 
@@ -137,19 +145,22 @@ def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual):
 
     dual_bound_violation = max(0.0, entry_max_norm(z) - 1.0)
 
+    # gradient of the objective at H; the elastic net adds -tau H
     grad = s - rho * z
+    if tau:
+        grad = grad - tau * h
     w = np.linalg.eigvalsh(0.5 * (grad + grad.T))
-    best = float(np.sum(w[-k:]))
-    gap = best - float(np.sum(grad * h))
+    gap = float(np.sum(w[-k:])) - float(np.sum(grad * h))
     return KktReport(
         sign_mismatch=sign_mismatch,
         dual_bound_violation=dual_bound_violation,
         fantope_optimality_gap=gap,
+        eigengap=float(w[-k] - w[-k - 1]) if k < p else float("inf"),
     )
 
 
 def check_kkt(s, solution, rho, support_tol=1e-6):
-    """Stationarity residuals of a solution at penalty level rho.
+    """Stationarity residuals of a solution to the l1 problem (tau = 0) at penalty rho.
 
     sign_mismatch: worst |Z_ij - sign(H_ij)| over significant off-diagonal
     entries of H (entries beneath the solver's primal resolution are not
@@ -157,19 +168,20 @@ def check_kkt(s, solution, rho, support_tol=1e-6):
     dual_bound_violation: how far Z pokes outside the unit entrywise box.
     fantope_optimality_gap: how far H is from maximizing <S - rho Z, .>
     over the Fantope (sum of top-k eigenvalues minus the achieved value).
+    An elastic-net solve's own report (solution.kkt) adds -tau H.
     """
     s = as_sym(s).entries
     h = solution.H.entries
     return _kkt_arrays(
-        s, h, solution.Z, float(rho), solution.H.k,
+        s, h, np.asarray(solution.Z, dtype=float), float(rho), solution.H.k,
         support_tol=support_tol,
         primal_residual=solution.primal_residual,
     )
 
 
-def _splitting_loop(s, cfg, tau, warm=None):
+def _splitting_loop(s, cfg, warm=None):
     p = s.shape[0]
-    k, rho, sigma = cfg.k, cfg.rho, cfg.admm_step
+    k, rho, tau, sigma = cfg.k, cfg.rho, cfg.tau_en, cfg.admm_step
     if k > p:
         raise InvalidInput(f"k={k} exceeds dimension p={p}")
     if warm is None:
@@ -180,7 +192,7 @@ def _splitting_loop(s, cfg, tau, warm=None):
         h, y, u = (np.array(m, dtype=float) for m in warm)
 
     s_step = s / sigma
-    scale = np.sqrt(p)
+    tol = cfg.eps * np.sqrt(p)
     objs = np.empty(cfg.max_iters)
     r_ps = np.empty(cfg.max_iters)
     r_ds = np.empty(cfg.max_iters)
@@ -201,15 +213,14 @@ def _splitting_loop(s, cfg, tau, warm=None):
         r_d = float(sigma * np.linalg.norm(y - y_prev))
         obj = float(np.sum(s * h) - rho * np.sum(np.abs(h)) - 0.5 * tau * np.sum(h * h))
         objs[it - 1], r_ps[it - 1], r_ds[it - 1] = obj, r_p, r_d
-        if r_p <= cfg.eps_primal * scale and r_d <= cfg.eps_dual * scale:
+        if r_p <= tol and r_d <= tol:
             converged = True
             break
         # sublinear-progress bail-out: a degenerate penalty (tied optima)
         # makes the iterates drift along the solution face at O(1/t); a
         # linear-rate solve shrinks far more than 0.5% per thousand steps
         if it >= 2 * window and it % window == 0:
-            ratios = np.maximum(r_ps[it - window:it] / (cfg.eps_primal * scale),
-                                r_ds[it - window:it] / (cfg.eps_dual * scale))
+            ratios = np.maximum(r_ps[it - window:it], r_ds[it - window:it]) / tol
             half = window // 2
             if ratios[half:].min() > 0.995 * ratios[:half].min():
                 stalled = True
@@ -223,9 +234,9 @@ def _splitting_loop(s, cfg, tau, warm=None):
     return h, y, u, it, r_p, r_d, converged, stalled, history
 
 
-def _finish_solution(s, cfg, tau, h, u, it, r_p, r_d, converged, stalled, history):
+def _finish_solution(s, cfg, h, u, it, r_p, r_d, converged, stalled, history):
     p = s.shape[0]
-    sigma = cfg.admm_step
+    sigma, tau = cfg.admm_step, cfg.tau_en
     if cfg.rho > 0.0:
         z_raw = (sigma / cfg.rho) * u
         z_raw = 0.5 * (z_raw + z_raw.T)
@@ -239,7 +250,7 @@ def _finish_solution(s, cfg, tau, h, u, it, r_p, r_d, converged, stalled, histor
     point = FantopePoint.from_entries(h, cfg.k, validate=False)
     support = _extract_support(h, cfg.support_tol, r_p)
     objective = float(np.sum(s * h) - cfg.rho * np.sum(np.abs(h)) - 0.5 * tau * np.sum(h * h))
-    kkt = _kkt_arrays(s, h, z, cfg.rho, cfg.k, cfg.support_tol, r_p)
+    kkt = _kkt_arrays(s, h, z, cfg.rho, cfg.k, cfg.support_tol, r_p, tau)
     sol = FpsSolution(
         H=point, Z=z, objective=objective, support=support, iters=it,
         primal_residual=r_p, dual_residual=r_d, kkt=kkt,
@@ -257,44 +268,39 @@ def _finish_solution(s, cfg, tau, h, u, it, r_p, r_d, converged, stalled, histor
     return sol
 
 
-def _solve_raw(sym, config, tau, warm=None):
-    h, y, u, it, r_p, r_d, conv, stall, hist = _splitting_loop(sym, config, tau, warm)
-    sol = _finish_solution(sym, config, tau, h, u, it, r_p, r_d, conv, stall, hist)
+def _solve_raw(sym, config, warm=None):
+    h, y, u, it, r_p, r_d, conv, stall, hist = _splitting_loop(sym, config, warm)
+    sol = _finish_solution(sym, config, h, u, it, r_p, r_d, conv, stall, hist)
     return sol, (h, y, u)
 
 
 def solve_fps(s, config, warm=None):
-    """l1-penalized Fantope solve; config.tau_en must be zero here.
+    """Penalized Fantope solve; tau_en > 0 makes it strongly concave.
 
-    Raises NotConverged (carrying the partial solution) if the iteration
-    budget runs out.
+    warm is an optional (H, Y, U) triple to resume from.  Raises
+    NotConverged (carrying the partial solution) if the iteration budget
+    runs out or progress stalls.
     """
-    if config.tau_en != 0.0:
-        raise InvalidInput("solve_fps is the plain path; use solve_fps_en for tau_en > 0")
     sym = as_sym(s).entries
-    sol, _ = _solve_raw(sym, config, 0.0, warm)
-    return sol
-
-
-def solve_fps_en(s, config, warm=None):
-    """Elastic-net variant: adds -(tau_en/2)||H||_F^2, strongly concave."""
-    if config.tau_en <= 0.0:
-        raise InvalidInput("solve_fps_en needs tau_en > 0")
-    sym = as_sym(s).entries
-    sol, _ = _solve_raw(sym, config, config.tau_en, warm)
+    sol, _ = _solve_raw(sym, config, warm)
     return sol
 
 
 # ===== constrained form =====
 
-def solve_fps_constrained(s, r_level, config, rel_slack=1e-3, max_doublings=60):
+_REL_SLACK = 1e-3      # relative slack on the l1 budget
+_MAX_DOUBLINGS = 60    # doublings that may look for a feasible penalty
+
+
+def solve_fps_constrained(s, r_level, config):
     """Solve max <S,H> subject to ||H||_1,1 <= R by searching the penalty path.
 
     Monotone search: if the unpenalized solution already satisfies the
-    constraint the answer is rho = 0; otherwise bracket a feasible penalty
-    by geometric doubling, bisect 40 times, and return the feasible
-    candidate with the largest <S, H> seen.  Every solve is warm-started
-    from the last converged state.  Returns (solution, rho_star).
+    constraint (to a relative slack of 1e-3) the answer is rho = 0;
+    otherwise bracket a feasible penalty by geometric doubling, bisect 40
+    times, and return the feasible candidate with the largest <S, H> seen.
+    Every solve is warm-started from the last converged state.  Returns
+    (solution, rho_star).
 
     Penalties that sit exactly at a support crossover make the penalized
     problem degenerate and the splitting iteration can stall there; a
@@ -307,20 +313,17 @@ def solve_fps_constrained(s, r_level, config, rel_slack=1e-3, max_doublings=60):
         raise InfeasibleConstraint(
             f"R={r_level} < k={k}: every Fantope point has ||H||_1,1 >= k"
         )
-    budget = r_level * (1.0 + rel_slack)
+    budget = r_level * (1.0 + _REL_SLACK)
     base = config.with_(rho=0.0, tau_en=0.0)
-
-    def predictive(sol):
-        return float(np.sum(sym * sol.H.entries))
 
     def attempt(rho_val, warm_state):
         try:
-            sol, st = _solve_raw(sym, base.with_(rho=rho_val), 0.0, warm=warm_state)
+            sol, st = _solve_raw(sym, base.with_(rho=rho_val), warm=warm_state)
             return sol, st, True
         except NotConverged as e:
             return e.solution, warm_state, False
 
-    sol0, state = _solve_raw(sym, base, 0.0)
+    sol0, state = _solve_raw(sym, base)
     if l11_norm(sol0.H.entries) <= budget:
         return sol0, 0.0
 
@@ -329,7 +332,7 @@ def solve_fps_constrained(s, r_level, config, rel_slack=1e-3, max_doublings=60):
     lo = 0.0
     rho = max(entry_max_norm(sym), 1e-12)
     hi = None
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         sol, state, ok = attempt(rho, state)
         val = l11_norm(sol.H.entries)
         trace.append((rho, val))
@@ -366,24 +369,27 @@ def solve_fps_constrained(s, r_level, config, rel_slack=1e-3, max_doublings=60):
             "converging; see the (rho, norm) trace",
             trace=trace,
         )
-    best_rho, best_sol = max(candidates, key=lambda c: predictive(c[1]))
+    best_rho, best_sol = max(candidates, key=lambda c: float(np.sum(sym * c[1].H.entries)))
     return best_sol, float(best_rho)
 
 
 # ===== uniqueness probe =====
 
-# an eigengap of S - rho Z at or below this is a tie: the maximizer is not unique
+# an eigengap of S - rho Z at or below this is a tie: the maximizer is not
+# unique; the two routes agree when their H differ by at most _UNIQUE_TOL
 _GAP_TIE_TOL = 1e-10
+_UNIQUE_TOL = 1e-5
 
 
-def uniqueness_probe(s, config, unique_tol=1e-5):
+def uniqueness_probe(s, config):
     """Two-route uniqueness check for the penalized solution.
 
-    Solves the plain problem, reads the eigengap of S - rho Z at order k,
-    and re-solves with a strongly concave perturbation tau = gap / 2 (any
+    Solves the plain problem, reads the eigengap of S - rho Z at order k
+    off that solve's KKT report (kkt.eigengap), and re-solves, also through
+    `solve_fps`, with a strongly concave perturbation tau = gap / 2 (any
     tau inside the gap leaves the maximizer unchanged when the solution is
-    the unique rank-k projector).  Agreement of the two routes within
-    unique_tol certifies uniqueness; a collapsed gap raises GapCollapsed.
+    the unique rank-k projector).  Agreement of the two routes within 1e-5
+    (Frobenius) certifies uniqueness; a collapsed gap raises GapCollapsed.
 
     The second route resumes from the first route's answer, the triple
     (H, H, (rho/step)(Z + I)).  When H is the rank-k projector of S - rho Z,
@@ -400,9 +406,7 @@ def uniqueness_probe(s, config, unique_tol=1e-5):
     sol = solve_fps(sym, config.with_(tau_en=0.0))
     if config.k == p:
         return UniquenessProbe(unique=True, discrepancy=0.0, tau=0.0, gap=float("inf")), sol
-    grad = sym - config.rho * sol.Z
-    w = np.linalg.eigvalsh(grad)
-    gap = float(w[-config.k] - w[-config.k - 1])
+    gap = sol.kkt.eigengap
     if gap <= _GAP_TIE_TOL:
         raise GapCollapsed(
             f"eigengap of S - rho Z at order k={config.k} is {gap:.3e}; "
@@ -411,7 +415,7 @@ def uniqueness_probe(s, config, unique_tol=1e-5):
     tau = 0.5 * gap
     h = sol.H.entries
     u = (config.rho / config.admm_step) * (sol.Z + np.eye(p))
-    sol_en = solve_fps_en(sym, config.with_(tau_en=tau), warm=(h, h, u))
+    sol_en = solve_fps(sym, config.with_(tau_en=tau), warm=(h, h, u))
     disc = float(np.linalg.norm(h - sol_en.H.entries))
-    probe = UniquenessProbe(unique=disc <= unique_tol, discrepancy=disc, tau=tau, gap=gap)
+    probe = UniquenessProbe(unique=disc <= _UNIQUE_TOL, discrepancy=disc, tau=tau, gap=gap)
     return probe, sol

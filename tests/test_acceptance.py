@@ -32,7 +32,6 @@ from fantope import (
     sign_rank_one,
     solve_fps,
     solve_fps_constrained,
-    solve_fps_en,
     stability_check,
     support_error,
     top_k_projector,
@@ -101,9 +100,9 @@ def test_criterion_02_projector_equivalence():
         s = sym_with_gap(rng, p, k, 0.1)
         pi, gap = top_k_projector(s, k)
         assert gap >= 0.1 - 1e-12
-        cfg = SolverConfig(k=k, eps_primal=1e-9, eps_dual=1e-9)
+        cfg = SolverConfig(k=k, eps=1e-9)
         sol_plain = solve_fps(s, cfg)
-        sol_en = solve_fps_en(s, cfg.with_(tau_en=0.5 * gap))
+        sol_en = solve_fps(s, cfg.with_(tau_en=0.5 * gap))
         assert np.linalg.norm(sol_plain.H.entries - pi.entries) <= 1e-6
         assert np.linalg.norm(sol_en.H.entries - pi.entries) <= 1e-6
         log_kkt(f"equiv-plain-{i}", sol_plain)
@@ -162,7 +161,7 @@ def test_criterion_04_frobenius_bound():
         model = gen_spiked(40, k, range(s_sup), spikes, 1.0, int(rng.integers(1 << 30)))
         smat = sample_covariance(sample_gaussian(model, 2000, int(rng.integers(1 << 30))))
         rho = entrywise_error(smat, model.Sigma)
-        cfg = SolverConfig(k=k, rho=rho, eps_primal=1e-6, eps_dual=1e-6)
+        cfg = SolverConfig(k=k, rho=rho, eps=1e-6)
         sol = solve_fps(smat, cfg)
         lhs, rhs, ok = frobenius_bound_check(model.Sigma, smat, k, model.J, rho, sol)
         assert ok, (i, lhs, rhs)
@@ -305,7 +304,7 @@ def test_criterion_09_bruteforce_oracles():
             if mode == 2:
                 i, j = rng.choice(n, size=2, replace=False)
                 m[i, j] = m[j, i] = -m[i, j]  # one flipped pair breaks the pattern
-        got = sign_rank_one(m, range(n), zero_tol=1e-12)
+        got = sign_rank_one(m, range(n))
         want = sign_rank_one_bruteforce(m, zero_tol=1e-12)
         assert got == want
         n_true += int(want)
@@ -325,7 +324,7 @@ def test_criterion_10_kkt_residuals():
                                    SolverConfig(k=2, rho=0.05)))
     s = sym_with_gap(rng, 10, 1, 0.4)
     _, gap = top_k_projector(s, 1)
-    log_kkt("fresh-en", solve_fps_en(s, SolverConfig(k=1, tau_en=0.5 * gap)))
+    log_kkt("fresh-en", solve_fps(s, SolverConfig(k=1, tau_en=0.5 * gap)))
     assert len(KKT_LOG) >= 3
     for label, rep, obj in KKT_LOG:
         assert rep.sign_mismatch <= 1e-4, (label, rep.sign_mismatch)

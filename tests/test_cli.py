@@ -119,6 +119,17 @@ class TestConfigParsing:
         assert main([command, "--config", str(path)]) == 1
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("max_iters", ["nan", "inf", "2.5"])
+    @pytest.mark.parametrize("command", ["phase", "persist"])
+    def test_non_integer_max_iters_is_an_input_error(self, tmp_path, capsys, command, max_iters):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"p = 10\nk = 1\ns = 3\nspike_values = 2.0\n"
+                        f"grid_n = 500\ngrid_r = 2.0\nmax_iters = {max_iters}\n"
+                        f"output_path = {tmp_path / 'out.csv'}\n")
+        assert main([command, "--config", str(path)]) == 1
+        assert "max_iters" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSolveCmd:
     def test_penalized_toy_solve(self, toy_csv, capsys):
@@ -139,6 +150,13 @@ class TestSolveCmd:
     def test_elastic_net_route(self, toy_csv, capsys):
         assert cmd_solve(toy_csv, 1, 0.05, tau_en=0.3) == 0
         assert json.loads(capsys.readouterr().out)["support"] == [0, 1]
+
+    def test_elastic_net_kkt_report(self, toy_csv, capsys):
+        # the reported gap reads S - rho Z - tau H; with S - rho Z alone this
+        # converged solve used to report 0.114
+        assert main(["solve", toy_csv, "--k", "1", "--rho", "0.05", "--tau-en", "1.0"]) == 0
+        kkt = json.loads(capsys.readouterr().out)["kkt"]
+        assert abs(kkt["fantope_optimality_gap"]) <= 1e-6
 
     def test_non_square_csv_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -21,7 +21,7 @@ from fantope.diagnostics import (
 from fantope.errors import InvalidInput, SpsViolated
 from fantope.models import gen_spiked, gen_toy, sample_covariance, sample_gaussian
 from fantope.solver import SolverConfig, solve_fps
-from fantope.spectral import top_k_projector
+from fantope.spectral import FantopePoint, top_k_projector
 from oracles import random_feasible_point, sign_rank_one_bruteforce
 
 TOY = gen_toy(0.0).Sigma.entries
@@ -340,6 +340,26 @@ class TestBuildWitness:
     def test_full_support_has_no_offsupport_block(self):
         rep = build_witness(TOY, TOY, 1, (0, 1, 2), 0.01)
         assert rep.dual_offsupport_max == 0.0
+
+    def test_no_full_size_eigvalsh(self, monkeypatch):
+        # Htilde = block-diag(B, 0) carries the support block's certified
+        # residual, since its spectrum is eig(B) plus zeros
+        m = gen_spiked(30, 1, (0, 1, 2, 3), (2.0,), 1.0, seed=7)
+        s = sample_covariance(sample_gaussian(m, 4000, seed=8)).entries
+        real, calls = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rep = build_witness(m.Sigma, s, 1, m.J, 0.1)
+        monkeypatch.undo()
+        assert calls and (30, 30) not in calls
+        full = FantopePoint.from_entries(rep.Htilde.entries, 1)
+        npt.assert_array_equal(full.entries, rep.Htilde.entries)
+        assert rep.Htilde.k == 1 and rep.Htilde.dim == 30
+        assert abs(full.constraint_residual - rep.Htilde.constraint_residual) <= 1e-12
 
     def test_flat_dict_excludes_matrix(self):
         rep = build_witness(TOY, TOY, 1, (0, 1), 0.01)

@@ -18,7 +18,6 @@ from fantope.solver import (
     soft_threshold,
     solve_fps,
     solve_fps_constrained,
-    solve_fps_en,
     uniqueness_probe,
 )
 from fantope.spectral import FantopePoint, top_k_projector
@@ -70,11 +69,10 @@ class TestSolverConfig:
         with pytest.raises(InvalidInput):
             SolverConfig(k=1, admm_step=0.0)
         with pytest.raises(InvalidInput):
-            SolverConfig(k=1, eps_primal=0.0)
+            SolverConfig(k=1, eps=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("name", ["rho", "tau_en", "admm_step", "eps_primal",
-                                      "eps_dual", "support_tol"])
+    @pytest.mark.parametrize("name", ["rho", "tau_en", "admm_step", "eps", "support_tol"])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(InvalidInput):
             SolverConfig(k=1, **{name: value})
@@ -82,6 +80,19 @@ class TestSolverConfig:
     def test_k_larger_than_p(self):
         with pytest.raises(InvalidInput):
             solve_fps(np.eye(2), SolverConfig(k=3))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 0.0, "2", None])
+    @pytest.mark.parametrize("name", ["k", "max_iters"])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(InvalidInput):
+            SolverConfig(**{"k": 1, name: value})
+
+    def test_integer_valued_floats_are_stored_as_int(self):
+        cfg = SolverConfig(k=1.0, rho=0.1, max_iters=20000.0)
+        assert type(cfg.k) is int and type(cfg.max_iters) is int
+        assert type(cfg.with_(k=2.0).k) is int
+        sol = solve_fps(TOY, cfg)
+        npt.assert_array_equal(sol.H.entries, solve_fps(TOY, SolverConfig(k=1, rho=0.1)).H.entries)
 
 
 class TestSoftThreshold:
@@ -106,7 +117,7 @@ class TestPenaltyFreeSolve:
             p = int(rng.integers(4, 15))
             k = int(rng.integers(1, 4))
             s = sym_with_gap(rng, p, k, 0.2)
-            cfg = SolverConfig(k=k, eps_primal=1e-9, eps_dual=1e-9)
+            cfg = SolverConfig(k=k, eps=1e-9)
             sol = solve_fps(s, cfg)
             pi, _ = top_k_projector(s, k)
             assert np.linalg.norm(sol.H.entries - pi.entries) <= 1e-6
@@ -165,10 +176,6 @@ class TestPenalizedSolve:
             sol = solve_fps(s, SolverConfig(k=1, rho=rho))
             obj_ref, _ = grid_solve_2x2(s, rho, res=1e-3)
             assert abs(sol.objective - obj_ref) <= 2e-3
-
-    def test_rejects_en_config(self):
-        with pytest.raises(InvalidInput):
-            solve_fps(TOY, SolverConfig(k=1, tau_en=0.5))
 
     def test_not_converged_carries_partial(self):
         with pytest.raises(NotConverged) as exc:
@@ -237,11 +244,31 @@ class TestCheckKkt:
         assert isinstance(sol.kkt, KktReport)
         assert sol.kkt.fantope_optimality_gap >= -1e-12
 
+    def test_eigengap_of_the_gradient(self):
+        rng = np.random.default_rng(9)
+        s = rand_sym(rng, 10)
+        sol = solve_fps(s, SolverConfig(k=3, rho=0.2))
+        w = np.linalg.eigvalsh(s - 0.2 * sol.Z)
+        assert sol.kkt.eigengap == pytest.approx(w[-3] - w[-4], abs=1e-12)
+        assert check_kkt(s, sol, 0.2).eigengap == sol.kkt.eigengap
+        assert solve_fps(TOY, SolverConfig(k=3)).kkt.eigengap == float("inf")
+
 
 class TestElasticNet:
-    def test_requires_positive_tau(self):
-        with pytest.raises(InvalidInput):
-            solve_fps_en(TOY, SolverConfig(k=1, tau_en=0.0))
+    @pytest.mark.parametrize("case", ["toy", "random30"])
+    def test_report_reads_the_elastic_net_gradient(self, case):
+        # stationarity of the elastic net is about S - rho Z - tau H; without
+        # -tau H a converged solve that is not a projector shows a false gap
+        if case == "toy":
+            s, cfg = TOY, SolverConfig(k=1, rho=0.05, tau_en=1.0)
+        else:
+            s, cfg = rand_sym(np.random.default_rng(4), 30), SolverConfig(k=2, rho=0.1, tau_en=2.0)
+        sol = solve_fps(s, cfg)
+        h = sol.H.entries
+        assert np.linalg.norm(h @ h - h) > 1e-2  # not a projector: the term matters
+        assert abs(sol.kkt.fantope_optimality_gap) <= 1e-6
+        # check_kkt is the l1 problem's check and still reads S - rho Z
+        assert check_kkt(s, sol, cfg.rho).fantope_optimality_gap > 1e-2
 
     def test_matches_projector_below_gap(self):
         # tau inside the eigengap leaves the unpenalized maximizer unchanged
@@ -249,14 +276,14 @@ class TestElasticNet:
         for _ in range(5):
             s = sym_with_gap(rng, 8, 2, 0.5)
             pi, gap = top_k_projector(s, 2)
-            cfg = SolverConfig(k=2, tau_en=0.5 * gap, eps_primal=1e-9, eps_dual=1e-9)
-            sol = solve_fps_en(s, cfg)
+            cfg = SolverConfig(k=2, tau_en=0.5 * gap, eps=1e-9)
+            sol = solve_fps(s, cfg)
             assert np.linalg.norm(sol.H.entries - pi.entries) <= 1e-6
 
     def test_deterministic(self):
         cfg = SolverConfig(k=1, rho=0.1, tau_en=0.2)
-        a = solve_fps_en(TOY, cfg)
-        b = solve_fps_en(TOY, cfg)
+        a = solve_fps(TOY, cfg)
+        b = solve_fps(TOY, cfg)
         npt.assert_array_equal(a.H.entries, b.H.entries)
 
 
@@ -304,6 +331,22 @@ class TestUniquenessProbe:
         probe, _ = uniqueness_probe(TOY, SolverConfig(k=3, rho=0.0))
         assert probe.unique and probe.discrepancy == 0.0
 
+    def test_gap_is_the_plain_solves_eigengap(self, monkeypatch):
+        s, cfg = spiked_case()
+        real, calls = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        probe, sol = uniqueness_probe(s, cfg)
+        monkeypatch.undo()
+        assert probe.gap == sol.kkt.eigengap
+        assert probe.tau == 0.5 * sol.kkt.eigengap
+        # two per solve (its KKT report and its constraint residual), none of its own
+        assert len(calls) == 4
+
 
 class TestWarmStart:
     @WARM_CASES
@@ -321,7 +364,7 @@ class TestWarmStart:
         s, cfg = case()
         probe, sol = uniqueness_probe(s, cfg)
         assert probe.unique
-        en = solve_fps_en(s, cfg.with_(tau_en=probe.tau), warm=resume_state(sol, cfg))
+        en = solve_fps(s, cfg.with_(tau_en=probe.tau), warm=resume_state(sol, cfg))
         assert en.iters <= 2
 
     @WARM_CASES
@@ -330,9 +373,55 @@ class TestWarmStart:
         s, cfg = case()
         probe, _ = uniqueness_probe(s, cfg)
         cfg_en = cfg.with_(tau_en=probe.tau)
-        cold = solve_fps_en(s, cfg_en)
+        cold = solve_fps(s, cfg_en)
         rng = np.random.default_rng(5)
         for _ in range(3):
             h0 = random_feasible_point(rng, s.shape[0], cfg.k)
-            warm = solve_fps_en(s, cfg_en, warm=(h0, h0, np.zeros_like(h0)))
+            warm = solve_fps(s, cfg_en, warm=(h0, h0, np.zeros_like(h0)))
             assert np.linalg.norm(warm.H.entries - cold.H.entries) <= 1e-5
+
+
+class TestInvariance:
+    """Solves commute with relabelling the variables and with rescaling S and rho."""
+
+    # seeded p=30 spiked samples whose solves take under ~300 iterations
+    SEEDS = pytest.mark.parametrize("seed", [1, 2, 4])
+
+    @staticmethod
+    def sample(seed):
+        model = gen_spiked(30, 2, range(5), (3.0, 2.0), 1.0, seed)
+        return sample_covariance(sample_gaussian(model, 2000, seed + 50)).entries
+
+    @SEEDS
+    @pytest.mark.parametrize("tau", [0.0, 2.0])
+    def test_permutation(self, seed, tau):
+        s = self.sample(seed)
+        perm = np.random.default_rng(seed).permutation(30)
+        cfg = SolverConfig(k=2, rho=0.25, tau_en=tau)
+        sol = solve_fps(s, cfg)
+        solp = solve_fps(s[np.ix_(perm, perm)], cfg)
+        block = np.ix_(perm, perm)
+        npt.assert_allclose(solp.H.entries, sol.H.entries[block], atol=1e-6)
+        npt.assert_allclose(solp.Z, sol.Z[block], atol=1e-6)
+        assert sorted(perm[list(solp.support.indices)]) == list(sol.support.indices)
+
+    @SEEDS
+    @pytest.mark.parametrize("c", [0.1, 10.0])
+    def test_scaling(self, seed, c):
+        # admm_step has the units of S, so it scales with c too; the
+        # iteration is then the same up to rounding and only the stopping
+        # test, whose dual residual carries the step, may end it elsewhere
+        s = self.sample(seed)
+        cfg = SolverConfig(k=2, rho=0.25)
+        sol = solve_fps(s, cfg)
+        solc = solve_fps(c * s, cfg.with_(rho=c * cfg.rho, admm_step=c))
+        npt.assert_allclose(solc.H.entries, sol.H.entries, atol=1e-5)
+        assert solc.support == sol.support
+
+    def test_scaling_elastic_net(self):
+        s = self.sample(1)
+        cfg = SolverConfig(k=2, rho=0.25, tau_en=2.0)
+        sol = solve_fps(s, cfg)
+        solc = solve_fps(10.0 * s, cfg.with_(rho=2.5, tau_en=20.0, admm_step=10.0))
+        npt.assert_allclose(solc.H.entries, sol.H.entries, atol=1e-5)
+        assert solc.support == sol.support
