@@ -125,12 +125,17 @@ def waterfill_theta_breakpoints(gamma, k):
     phi is linear between consecutive kinks {gamma_j, gamma_j - 1}; evaluate
     it at every kink by a direct sum, take the last kink where phi >= k and
     interpolate on the segment after it.  Kinks closer than roundoff make phi
-    round at ~p*eps there, hence the slack on the comparison.
+    round at ~p*eps*(1 + max|gamma|) there, hence the slack on the comparison.
+    The slack is kept at that roundoff scale: phi has slope >= 1 off its flat
+    segments, so accepting a kink where phi is short of k by the slack moves
+    theta by up to the slack, and a wider one (say 1e-9*k) would misplace the
+    root among eigenvalues that differ by ~1e-9.
     """
     gamma = np.asarray(gamma, dtype=float)
     kinks = np.unique(np.concatenate([gamma, gamma - 1.0]))
     phi = [float(np.clip(gamma - t, 0.0, 1.0).sum()) for t in kinks]
-    i = max(j for j, f in enumerate(phi) if f >= k - 1e-9 * k)
+    slack = 16 * gamma.size * np.finfo(float).eps * (1.0 + np.max(np.abs(gamma)))
+    i = max(j for j, f in enumerate(phi) if f >= k - slack)
     if i == len(kinks) - 1 or phi[i] == k:
         return float(kinks[i])
     frac = (phi[i] - k) / (phi[i] - phi[i + 1])

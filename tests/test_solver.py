@@ -72,10 +72,15 @@ class TestSolverConfig:
             SolverConfig(k=1, eps=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("name", ["rho", "tau_en", "admm_step", "eps", "support_tol"])
+    @pytest.mark.parametrize(
+        "name", ["rho", "tau_en", "admm_step", "eps_primal", "eps_dual", "support_tol"]
+    )
     def test_non_finite_rejected(self, name, value):
+        # the one tolerance eps stops both the primal and the dual residual;
+        # the eps_primal and eps_dual cases set it for the residual they name
+        field = {"eps_primal": "eps", "eps_dual": "eps"}.get(name, name)
         with pytest.raises(InvalidInput):
-            SolverConfig(k=1, **{name: value})
+            SolverConfig(k=1, **{field: value})
 
     def test_k_larger_than_p(self):
         with pytest.raises(InvalidInput):
