@@ -38,7 +38,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .base import as_support
 from .errors import (InfeasibleConstraint, InvalidInput, NotConverged,
                      NumericalFailure, SearchFailure, SpsViolated)
 from .spectral import as_sym, eig_sym
-from .solver import SolverConfig, solve_fps, solve_fps_constrained
+from .solver import SolverConfig, _integer, solve_fps, solve_fps_constrained
 from .models import (gen_planted_clique, gen_spiked, gen_toy, load_matrix_csv,
                      sample_covariance, sample_gaussian, save_matrix_csv)
 from .diagnostics import (check_lcc, check_recovery_conditions,
@@ -71,6 +71,26 @@ _SCALAR_KEYS = _MODEL_KEYS + _TOL_KEYS + (
 _GRID_KEYS = ("grid_n", "grid_p", "grid_s", "grid_rho", "grid_r")
 
 
+def _finite_real(name, value):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise InvalidInput(f"{name}={value!r} must be a finite number")
+    return float(value)
+
+
+def _nonneg_int(name, value):
+    return _integer(name, value, least=0)
+
+
+# how each model parameter and grid value is checked and stored;
+# grid_n = 0 is persist's "use the population matrix exactly"
+_PARAM_TYPES = {"p": _integer, "k": _integer, "s": _integer, "t": _finite_real,
+                "noise": _finite_real,
+                "spike_values": lambda name, vals: tuple(_finite_real(name, v) for v in vals)}
+_AXIS_TYPES = {"n": _nonneg_int, "p": _integer, "s": _integer,
+               "rho": _finite_real, "r": _finite_real}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved sweep description: model, grid axes, trials, seed, outputs."""
@@ -86,25 +106,29 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # every value is typed here, once; commands read them as stored
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise InvalidInput(f"trials={self.trials} must be a positive integer")
+        params = {key: _PARAM_TYPES[key](key, v) if key in _PARAM_TYPES else v
+                  for key, v in self.model_params.items()}
+        grid = {}
         for axis, vals in self.grid.items():
-            if len(vals) == 0:
-                raise InvalidInput(f"grid axis '{axis}' is empty")
-
-    def resolved(self):
-        """Plain-JSON view of the full configuration."""
-        return {
-            "model": self.model,
-            "model_params": dict(self.model_params),
-            "grid": {k: list(v) for k, v in self.grid.items()},
-            "trials": self.trials,
-            "seed": self.seed,
-            "sigma_mult": self.sigma_mult,
-            "alpha": self.alpha,
-            "output_path": self.output_path,
-            "tolerances": dict(self.tolerances),
-        }
+            if axis not in _AXIS_TYPES or len(vals) == 0:
+                raise InvalidInput(f"grid axis '{axis}' is unknown or empty")
+            grid[axis] = tuple(_AXIS_TYPES[axis](f"grid_{axis}", v) for v in vals)
+        tols = dict(self.tolerances)
+        if "sandwich_tol" in tols:
+            tols["sandwich_tol"] = _finite_real("sandwich_tol", tols["sandwich_tol"])
+            if tols["sandwich_tol"] < 0:
+                raise InvalidInput("sandwich_tol must be non-negative")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise InvalidInput(f"output_path={self.output_path!r} must be a path")
+        for name, value in (
+                ("model_params", params), ("grid", grid), ("tolerances", tols),
+                ("seed", _nonneg_int("seed", self.seed)),
+                ("sigma_mult", _finite_real("sigma_mult", self.sigma_mult)),
+                ("alpha", None if self.alpha is None else _finite_real("alpha", self.alpha))):
+            object.__setattr__(self, name, value)
 
 
 def _parse_atom(text):
@@ -149,27 +173,20 @@ def parse_config(path):
     grid = {k[len("grid_"):]: tuple(raw.pop(k)) for k in _GRID_KEYS if k in raw}
     model_params = {k: raw.pop(k) for k in _MODEL_KEYS if k in raw and k != "model"}
     tolerances = {k: raw.pop(k) for k in _TOL_KEYS if k in raw}
-    return ExperimentConfig(
-        model=raw.pop("model", "spiked"),
-        model_params=model_params,
-        grid=grid,
-        trials=raw.pop("trials", 1),
-        seed=raw.pop("seed", 1),
-        sigma_mult=raw.pop("sigma_mult", 3.0),
-        alpha=raw.pop("alpha", None),
-        output_path=raw.pop("output_path", None),
-        tolerances=tolerances,
-    )
+    # the keys left are ExperimentConfig's own fields; absent ones take its defaults
+    return ExperimentConfig(model_params=model_params, grid=grid,
+                            tolerances=tolerances, **raw)
 
 
 def _resolve_seed(seed):
+    """The run's seed: FPS_SEED when it is set, else seed; an integer >= 0."""
     env = os.environ.get("FPS_SEED")
-    if env is None:
-        return int(seed)
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidInput(f"FPS_SEED={env!r} is not an integer")
+    if env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise InvalidInput(f"FPS_SEED={env!r} is not an integer")
+    return _nonneg_int("seed", seed)
 
 
 def _trial_seed(seed, cell, trial):
@@ -300,12 +317,13 @@ def _condition_flags(rec, sigma, smat, k, j, rho):
 
 # ===== solve =====
 
-def cmd_solve(matrix_csv, k, rho, tau_en=0.0, support_tol=1e-6, eps=1e-7,
-              max_iters=20000, admm_step=1.0, out_h=None):
-    """Solve one matrix from CSV and print a JSON solution summary."""
+def cmd_solve(matrix_csv, k, rho, out_h=None, **settings):
+    """Solve one matrix from CSV and print a JSON solution summary.
+
+    settings are SolverConfig's other fields; absent ones take its defaults.
+    """
     s = load_matrix_csv(matrix_csv)
-    cfg = SolverConfig(k=k, rho=rho, tau_en=tau_en, support_tol=support_tol,
-                       eps=eps, max_iters=max_iters, admm_step=admm_step)
+    cfg = SolverConfig(k=k, rho=rho, **settings)
     sol = solve_fps(s, cfg)
     if out_h is None:
         out_h = _stem(matrix_csv) + ".H.csv"
@@ -313,9 +331,7 @@ def cmd_solve(matrix_csv, k, rho, tau_en=0.0, support_tol=1e-6, eps=1e-7,
     summary = {
         "command": "solve",
         "version": __version__,
-        "config": {"matrix_csv": matrix_csv, "k": k, "rho": rho,
-                   "tau_en": tau_en, "support_tol": support_tol, "eps": eps,
-                   "max_iters": cfg.max_iters, "admm_step": admm_step},
+        "config": {"matrix_csv": matrix_csv, **asdict(cfg)},
         "h_csv": out_h,
         "support": list(sol.support.indices),
         "objective": sol.objective,
@@ -336,9 +352,9 @@ def _build_model(name, params, seed):
     if name == "toy":
         return gen_toy(params.get("t", 0.0))
     if name == "spiked":
-        p = int(params.get("p", 100))
-        k = int(params.get("k", 2))
-        s = int(params.get("s", 5))
+        p = params.get("p", 100)
+        k = params.get("k", 2)
+        s = params.get("s", 5)
         spikes = params.get("spike_values", tuple(range(k + 1, 1, -1)))
         noise = params.get("noise", 1.0)
         return gen_spiked(p, k, range(s), spikes, noise, seed)
@@ -364,7 +380,7 @@ def cmd_phase(config):
         coord = dict(zip(axes, values))
         params = dict(config.model_params)
         params.update({a: coord[a] for a in ("p", "s") if a in coord})
-        n = int(coord["n"])
+        n = coord["n"]
         try:
             model = _build_model(config.model, params, seed)
         except (InvalidInput, SpsViolated) as e:
@@ -389,7 +405,7 @@ def cmd_phase(config):
                 lam1 = eig_sym(smat).eigenvalues[0]
                 sigma_hat = config.sigma_mult * lam1
                 if "rho" in coord:
-                    rho = float(coord["rho"])
+                    rho = coord["rho"]
                 else:
                     if alpha <= 0:
                         raise InvalidInput(
@@ -413,7 +429,7 @@ def cmd_phase(config):
 
     _write_outputs(out_csv, records,
                    {"command": "phase", "version": __version__,
-                    "config": config.resolved(), "seed": seed,
+                    "config": asdict(config), "seed": seed,
                     "output_csv": out_csv, "cells": cell_stats})
     return 0
 
@@ -461,8 +477,8 @@ def cmd_persist(config):
     seed = _resolve_seed(config.seed)
     if "r" not in config.grid:
         raise InvalidInput("persist needs a grid_r axis")
-    n_axis = tuple(int(v) for v in config.grid.get("n", (0,)))
-    r_axis = tuple(float(v) for v in config.grid["r"])
+    n_axis = config.grid.get("n", (0,))
+    r_axis = config.grid["r"]
     model = _build_model(config.model, config.model_params, seed)
     k, p = model.k, model.dim
     for r in r_axis:
@@ -511,7 +527,7 @@ def cmd_persist(config):
 
     _write_outputs(out_csv, records,
                    {"command": "persist", "version": __version__,
-                    "config": config.resolved(), "seed": seed,
+                    "config": asdict(config), "seed": seed,
                     "output_csv": out_csv, "cells": cell_stats})
     return 0
 
@@ -577,12 +593,12 @@ def _build_parser():
     p = sub.add_parser("solve", help="solve one matrix CSV")
     p.add_argument("matrix_csv")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--tau-en", type=float, default=0.0)
-    p.add_argument("--support-tol", type=float, default=1e-6)
-    p.add_argument("--eps", type=float, default=1e-7)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--step", type=float, default=1.0)
+    p.add_argument("--rho", type=float, default=SolverConfig.rho)
+    p.add_argument("--tau-en", type=float, default=SolverConfig.tau_en)
+    p.add_argument("--support-tol", type=float, default=SolverConfig.support_tol)
+    p.add_argument("--eps", type=float, default=SolverConfig.eps)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--step", type=float, default=SolverConfig.admm_step)
     p.add_argument("--out-h", default=None)
     p.set_defaults(func=lambda a: cmd_solve(
         a.matrix_csv, a.k, a.rho, tau_en=a.tau_en, support_tol=a.support_tol,

@@ -9,7 +9,7 @@ predictive-covariance persistence/stability bounds for the constrained
 form.  All checks are pure functions of their inputs.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -46,19 +46,9 @@ class ConditionReport:
     rho: float
 
     def to_flat_dict(self):
-        return {
-            "sps_gap": self.sps_gap,
-            "sps_support": list(self.sps_support.indices),
-            "lcc_lhs": self.lcc_lhs,
-            "lcc_alpha": self.lcc_alpha,
-            "det_cond1_lhs": self.det_cond1_lhs,
-            "det_cond2_slack": self.det_cond2_slack,
-            "signal_min_leverage": self.signal_min_leverage,
-            "signal_leverage_required": self.signal_leverage_required,
-            "entrywise_min_ok": self.entrywise_min_ok,
-            "prob_sample_ok": self.prob_sample_ok,
-            "rho": self.rho,
-        }
+        flat = {f.name: getattr(self, f.name) for f in fields(self)}
+        flat["sps_support"] = list(self.sps_support.indices)
+        return flat
 
 
 @dataclass(frozen=True)
@@ -79,14 +69,7 @@ class WitnessReport:
     witness_valid: bool
 
     def to_flat_dict(self):
-        return {
-            "Q_deviation": self.Q_deviation,
-            "Q_bound": self.Q_bound,
-            "dual_offsupport_max": self.dual_offsupport_max,
-            "noise_opnorm": self.noise_opnorm,
-            "signal_gap": self.signal_gap,
-            "witness_valid": self.witness_valid,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "Htilde"}
 
 
 # ===== population spectrum =====

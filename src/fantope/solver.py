@@ -18,16 +18,16 @@ import numpy as np
 
 from .base import SupportSet, entry_max_norm, l11_norm
 from .errors import GapCollapsed, InfeasibleConstraint, InvalidInput, NotConverged, SearchFailure
-from .spectral import FantopePoint, _project, as_sym
+from .spectral import FantopePoint, _project, _projected_point, as_sym
 
 
 # ===== configuration and result types =====
 
-def _positive_int(name, value):
+def _integer(name, value, least=1):
     # integer-valued floats (a config file's "2.0") are accepted and stored as int
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value) or value < 1):
-        raise InvalidInput(f"{name}={value!r} must be a positive integer")
+            or not math.isfinite(value) or value != int(value) or value < least):
+        raise InvalidInput(f"{name}={value!r} must be an integer >= {least}")
     return int(value)
 
 
@@ -47,8 +47,8 @@ class SolverConfig:
     support_tol: float = 1e-6
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _positive_int("k", self.k))
-        object.__setattr__(self, "max_iters", _positive_int("max_iters", self.max_iters))
+        object.__setattr__(self, "k", _integer("k", self.k))
+        object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters))
         reals = (self.rho, self.tau_en, self.admm_step, self.eps, self.support_tol)
         if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in reals):
             raise InvalidInput("rho, tau_en, admm_step and the tolerances must be finite numbers")
@@ -79,7 +79,9 @@ class KktReport:
 class FpsSolution:
     """Converged primal-dual pair with diagnostics.
 
-    history holds per-iteration objective and residual arrays;
+    H is the iteration's last projection, certified by the clipped
+    eigenvalues it was built from; objective is evaluated once, at exit.
+    history holds the per-iteration primal_residual and dual_residual arrays;
     dual_clip_excess records how far the recovered multiplier poked
     outside [-1, 1] before clipping (0 at a clean optimum).
 
@@ -179,7 +181,11 @@ def check_kkt(s, solution, rho, support_tol=1e-6):
     )
 
 
-def _splitting_loop(s, cfg, warm=None):
+def _solve_raw(s, cfg, warm=None):
+    """The one solve body: the splitting loop, then the solution read off its state.
+
+    Returns (solution, (H, Y, U)); the final triple lets a later solve resume.
+    """
     p = s.shape[0]
     k, rho, tau, sigma = cfg.k, cfg.rho, cfg.tau_en, cfg.admm_step
     if k > p:
@@ -193,28 +199,23 @@ def _splitting_loop(s, cfg, warm=None):
 
     s_step = s / sigma
     tol = cfg.eps * np.sqrt(p)
-    objs = np.empty(cfg.max_iters)
     r_ps = np.empty(cfg.max_iters)
     r_ds = np.empty(cfg.max_iters)
-    converged = False
     stalled = False
     window = 1000
-    it = 0
     for it in range(1, cfg.max_iters + 1):
         if tau == 0.0:
             m = y - u + s_step
         else:
             m = (s + sigma * (y - u)) / (tau + sigma)
-        h = _project(m, k)[0]
+        h, _, _, _, g = _project(m, k)
         y_prev = y
         y = soft_threshold(h + u, rho / sigma)
         u = u + h - y
         r_p = float(np.linalg.norm(h - y))
         r_d = float(sigma * np.linalg.norm(y - y_prev))
-        obj = float(np.sum(s * h) - rho * np.sum(np.abs(h)) - 0.5 * tau * np.sum(h * h))
-        objs[it - 1], r_ps[it - 1], r_ds[it - 1] = obj, r_p, r_d
+        r_ps[it - 1], r_ds[it - 1] = r_p, r_d
         if r_p <= tol and r_d <= tol:
-            converged = True
             break
         # sublinear-progress bail-out: a degenerate penalty (tied optima)
         # makes the iterates drift along the solution face at O(1/t); a
@@ -226,19 +227,8 @@ def _splitting_loop(s, cfg, warm=None):
                 stalled = True
                 break
 
-    history = {
-        "objective": objs[:it].copy(),
-        "primal_residual": r_ps[:it].copy(),
-        "dual_residual": r_ds[:it].copy(),
-    }
-    return h, y, u, it, r_p, r_d, converged, stalled, history
-
-
-def _finish_solution(s, cfg, h, u, it, r_p, r_d, converged, stalled, history):
-    p = s.shape[0]
-    sigma, tau = cfg.admm_step, cfg.tau_en
-    if cfg.rho > 0.0:
-        z_raw = (sigma / cfg.rho) * u
+    if rho > 0.0:
+        z_raw = (sigma / rho) * u
         z_raw = 0.5 * (z_raw + z_raw.T)
         np.fill_diagonal(z_raw, 0.0)
         clip_excess = max(0.0, entry_max_norm(z_raw) - 1.0)
@@ -247,16 +237,16 @@ def _finish_solution(s, cfg, h, u, it, r_p, r_d, converged, stalled, history):
         z = np.zeros((p, p))
         clip_excess = 0.0
 
-    point = FantopePoint.from_entries(h, cfg.k, validate=False)
-    support = _extract_support(h, cfg.support_tol, r_p)
-    objective = float(np.sum(s * h) - cfg.rho * np.sum(np.abs(h)) - 0.5 * tau * np.sum(h * h))
-    kkt = _kkt_arrays(s, h, z, cfg.rho, cfg.k, cfg.support_tol, r_p, tau)
     sol = FpsSolution(
-        H=point, Z=z, objective=objective, support=support, iters=it,
-        primal_residual=r_p, dual_residual=r_d, kkt=kkt,
-        dual_clip_excess=clip_excess, history=history,
+        H=_projected_point(h, k, g), Z=z,
+        objective=float(np.sum(s * h) - rho * np.sum(np.abs(h)) - 0.5 * tau * np.sum(h * h)),
+        support=_extract_support(h, cfg.support_tol, r_p), iters=it,
+        primal_residual=r_p, dual_residual=r_d,
+        kkt=_kkt_arrays(s, h, z, rho, k, cfg.support_tol, r_p, tau),
+        dual_clip_excess=clip_excess,
+        history={"primal_residual": r_ps[:it].copy(), "dual_residual": r_ds[:it].copy()},
     )
-    if not converged:
+    if not (r_p <= tol and r_d <= tol):
         if stalled:
             msg = (f"progress stalled after {it} iterations "
                    f"(primal {r_p:.3e}, dual {r_d:.3e}); the problem is "
@@ -265,12 +255,6 @@ def _finish_solution(s, cfg, h, u, it, r_p, r_d, converged, stalled, history):
             msg = (f"splitting solver hit max_iters={cfg.max_iters} "
                    f"(primal {r_p:.3e}, dual {r_d:.3e})")
         raise NotConverged(msg, solution=sol)
-    return sol
-
-
-def _solve_raw(sym, config, warm=None):
-    h, y, u, it, r_p, r_d, conv, stall, hist = _splitting_loop(sym, config, warm)
-    sol = _finish_solution(sym, config, h, u, it, r_p, r_d, conv, stall, hist)
     return sol, (h, y, u)
 
 

@@ -73,6 +73,8 @@ class FantopePoint:
 
     constraint_residual bounds how far `entries` sits from the exact set:
     max of the asymmetry, the eigenvalue-box violation, and |trace - k|.
+    from_entries reads them off the entries' spectrum; a projection's point
+    off the clipped eigenvalues it was built from, leaving the trace defect.
     """
 
     dim: int
@@ -81,7 +83,12 @@ class FantopePoint:
     constraint_residual: float
 
     @classmethod
-    def from_entries(cls, entries, k, validate=True):
+    def from_entries(cls, entries, k):
+        """A validated point, certified by one eigvalsh of the entries.
+
+        Eigenvalues outside [0, 1] by 1e-8, or a trace off k by 1e-8 * k,
+        raise InvalidInput.
+        """
         a = check_square(entries, "Fantope point")
         p = a.shape[0]
         _check_order(k, p)
@@ -93,14 +100,12 @@ class FantopePoint:
             raise NumericalFailure(f"eigvalsh failed on Fantope candidate: {e}")
         box = max(max(0.0, -float(w.min())), max(0.0, float(w.max()) - 1.0))
         tr = abs(float(np.sum(w)) - k)
-        resid = max(sresid, box, tr)
-        if validate:
-            if box > _FANTOPE_EIG_TOL:
-                raise InvalidInput(f"eigenvalues outside [0,1] by {box:.3e}")
-            if tr > _FANTOPE_TRACE_TOL * max(k, 1):
-                raise InvalidInput(f"trace off by {tr:.3e} from k={k}")
+        if box > _FANTOPE_EIG_TOL:
+            raise InvalidInput(f"eigenvalues outside [0,1] by {box:.3e}")
+        if tr > _FANTOPE_TRACE_TOL * max(k, 1):
+            raise InvalidInput(f"trace off by {tr:.3e} from k={k}")
         sym.flags.writeable = False
-        return cls(dim=p, k=int(k), entries=sym, constraint_residual=resid)
+        return cls(dim=p, k=int(k), entries=sym, constraint_residual=max(sresid, box, tr))
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,16 @@ def _project(m, k):
     return 0.5 * (h + h.T), theta, gamma, v, g
 
 
+def _projected_point(h, k, g):
+    """The FantopePoint of a _project output (h, g), with no second spectrum.
+
+    g lies in [0, 1] by construction, so the residual is |sum g - k|.
+    """
+    h.flags.writeable = False
+    return FantopePoint(dim=h.shape[0], k=k, entries=h,
+                        constraint_residual=abs(float(g.sum()) - k))
+
+
 def fantope_project(a, k):
     """Euclidean projection of a symmetric matrix onto the trace-k Fantope.
 
@@ -203,17 +218,12 @@ def fantope_project(a, k):
     residual certified from the constructed spectrum.
     """
     s = as_sym(a)
-    p = s.dim
-    _check_order(k, p)
+    _check_order(k, s.dim)
     ent, theta, gamma, v, g = _project(s.entries, int(k))
-    ent.flags.writeable = False
-    point = FantopePoint(
-        dim=p, k=int(k), entries=ent,
-        constraint_residual=abs(float(g.sum()) - k),
-    )
     # g is non-decreasing along the ascending spectrum, so reversing sorts it
     return FantopeProjectionResult(
-        point=point, theta=theta, spectrum=_descending(gamma, v),
+        point=_projected_point(ent, int(k), g), theta=theta,
+        spectrum=_descending(gamma, v),
         gamma_plus=np.ascontiguousarray(g[::-1]),
     )
 

@@ -82,10 +82,13 @@ class TestConfigParsing:
         assert cfg.grid == {"n": (500,), "r": (2.0,)}
 
     def test_atom_types(self, tmp_path):
+        # int, then float, then true/false, else bare string; each through a
+        # key that stores the atom as parsed
         path = tmp_path / "cfg.txt"
-        path.write_text("grid_r = 1, 2.5, true, plain\n")
+        path.write_text("trials = 2\nsigma_mult = 2.5\nmodel = true\noutput_path = plain\n")
         cfg = parse_config(str(path))
-        assert cfg.grid["r"] == (1, 2.5, True, "plain")
+        assert (cfg.trials, cfg.sigma_mult, cfg.model, cfg.output_path) == (2, 2.5, True, "plain")
+        assert type(cfg.trials) is int and type(cfg.sigma_mult) is float
 
     @pytest.mark.parametrize("body", [
         "mystery_key = 3",
@@ -129,6 +132,26 @@ class TestConfigParsing:
         assert main([command, "--config", str(path)]) == 1
         assert "max_iters" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("phase", "p", "10.5"), ("phase", "k", "nan"), ("phase", "s", "0"),
+        ("phase", "grid_n", "-1"), ("phase", "grid_p", "2.5"), ("phase", "grid_s", "abc"),
+        ("phase", "seed", "abc"), ("phase", "t", "inf"), ("phase", "noise", "abc"),
+        ("phase", "sigma_mult", "abc"), ("phase", "alpha", "nan"),
+        ("phase", "spike_values", "2.0, abc"), ("phase", "grid_rho", "abc"),
+        ("persist", "grid_r", "abc"), ("persist", "sandwich_tol", "abc"),
+        ("persist", "sandwich_tol", "-1e-6"), ("phase", "output_path", "3"),
+    ])
+    def test_malformed_value_is_an_input_error(self, tmp_path, monkeypatch, capsys,
+                                               command, key, value):
+        monkeypatch.chdir(tmp_path)
+        lines = {"p": "10", "k": "1", "s": "3", "spike_values": "2.0",
+                 "grid_n": "500" if command == "phase" else "0", "grid_r": "2.0"}
+        lines[key] = value
+        (tmp_path / "cfg.txt").write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main([command, "--config", "cfg.txt"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.txt"]
 
 
 class TestSolveCmd:
@@ -211,6 +234,16 @@ class TestCliqueCmd:
     def test_bad_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("FPS_SEED", "not-a-seed")
         assert main(["clique", "--p", "20", "--s", "5", "--trials", "1"]) == 1
+
+    @pytest.mark.parametrize("env,flag", [(None, "-1"), ("-3", "1")])
+    def test_negative_seed_is_an_input_error(self, tmp_path, monkeypatch, capsys, env, flag):
+        # the generators take seeds >= 0
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("FPS_SEED", env)
+        assert main(["clique", "--p", "20", "--s", "5", "--trials", "1", "--seed", flag]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("p", ["0", "1", "2"])
     def test_graph_too_small_is_an_input_error(self, tmp_path, monkeypatch, capsys, p):

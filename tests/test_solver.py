@@ -47,6 +47,18 @@ def resume_state(sol, cfg):
     return h, h, (cfg.rho / cfg.admm_step) * (sol.Z + np.eye(h.shape[0]))
 
 
+def count_eigvalsh(monkeypatch):
+    """Wrap np.linalg.eigvalsh; returns the list of the input shapes it sees."""
+    real, calls = np.linalg.eigvalsh, []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
 def rand_sym(rng, p, scale=1.0):
     a = rng.normal(scale=scale, size=(p, p))
     return 0.5 * (a + a.T)
@@ -161,12 +173,6 @@ class TestPenalizedSolve:
             h = random_feasible_point(rng, 8, 2)
             assert sol.objective >= penalized_objective(s, h, 0.15) - 1e-8
 
-    def test_objective_history_peaks_at_solution(self):
-        sol = solve_fps(TOY, SolverConfig(k=1, rho=0.3))
-        hist = sol.history["objective"]
-        assert hist.shape[0] == sol.iters
-        assert np.max(hist) - sol.objective <= 1e-6 * (1.0 + abs(sol.objective))
-
     def test_l1_norm_shrinks_with_penalty(self):
         l11s = [
             l11_norm(solve_fps(TOY, SolverConfig(k=1, rho=r)).H.entries)
@@ -189,6 +195,48 @@ class TestPenalizedSolve:
         assert partial is not None
         assert partial.iters == 3
         assert partial.H.constraint_residual <= 1e-8  # H block stays feasible
+
+
+class TestSolutionFromLastProjection:
+    """A solve's H is its last projection, certified without a second spectrum."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_one_eigvalsh_per_solve(self, monkeypatch, tau):
+        s, cfg = spiked_case()
+        calls = count_eigvalsh(monkeypatch)
+        solve_fps(s, cfg.with_(tau_en=tau))
+        monkeypatch.undo()
+        assert calls == [s.shape]  # its KKT report's
+
+    @staticmethod
+    def assert_certified(sol):
+        # the residual read off the clipped eigenvalues agrees with the one
+        # from_entries reads off the spectrum of H itself
+        full = FantopePoint.from_entries(sol.H.entries, sol.H.k)
+        npt.assert_array_equal(full.entries, sol.H.entries)
+        assert sol.H.constraint_residual <= 1e-12
+        assert abs(sol.H.constraint_residual - full.constraint_residual) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    @pytest.mark.parametrize("tau", [0.0, 2.0])
+    def test_seeded_solves(self, seed, tau):
+        s = TestInvariance.sample(seed)
+        self.assert_certified(solve_fps(s, SolverConfig(k=2, rho=0.25, tau_en=tau)))
+
+    def test_partial_solution(self):
+        with pytest.raises(NotConverged) as exc:
+            solve_fps(spiked_case()[0], SolverConfig(k=2, rho=0.38, max_iters=3))
+        self.assert_certified(exc.value.solution)
+
+    def test_one_iteration_resume(self):
+        s, cfg = spiked_case()
+        sol = solve_fps(s, cfg)
+        try:
+            again = solve_fps(s, cfg.with_(max_iters=1), warm=resume_state(sol, cfg))
+        except NotConverged as e:
+            again = e.solution
+        assert again.iters == 1
+        self.assert_certified(again)
 
 
 class TestDualRecovery:
@@ -338,19 +386,13 @@ class TestUniquenessProbe:
 
     def test_gap_is_the_plain_solves_eigengap(self, monkeypatch):
         s, cfg = spiked_case()
-        real, calls = np.linalg.eigvalsh, []
-
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        calls = count_eigvalsh(monkeypatch)
         probe, sol = uniqueness_probe(s, cfg)
         monkeypatch.undo()
         assert probe.gap == sol.kkt.eigengap
         assert probe.tau == 0.5 * sol.kkt.eigengap
-        # two per solve (its KKT report and its constraint residual), none of its own
-        assert len(calls) == 4
+        # one per solve (its KKT report), none of its own
+        assert len(calls) == 2
 
 
 class TestWarmStart:
