@@ -8,6 +8,17 @@ sparse (entrywise soft-threshold), and a scaled multiplier U gluing them
 together.  At a fixed point (step/rho) * U is a subgradient of the l1
 term, which is what makes the dual certificate recoverable from the
 multiplier for free.
+
+The step is over-relaxed (Eckstein & Bertsekas 1992; Boyd et al. 2011,
+section 3.4.3): the Y- and U-updates read H_rel = 1.5 H + (1 - 1.5) Y_prev
+in place of the fresh projection H.  The residuals, the stopping rule and
+the per-iteration work are those of the plain step.  At a fixed point
+H = Y = Y_prev, so H_rel = H: the limit, the multiplier Z = (step/rho) U
+read from it, and every warm-start fixed point (a resumed solve stops in
+an iteration or two) are the plain iteration's.  Relaxation cuts the
+iterations of a typical solve by about a third (p=200 spiked samples:
+about 41 against 63); an instance the plain step finishes in a handful of
+iterations can take more (the 3x3 toy: 23 against 3).
 """
 
 import math
@@ -210,8 +221,9 @@ def _solve_raw(s, cfg, warm=None):
             m = (s + sigma * (y - u)) / (tau + sigma)
         h, _, _, _, g = _project(m, k)
         y_prev = y
-        y = soft_threshold(h + u, rho / sigma)
-        u = u + h - y
+        h_rel = _RELAX * h + (1.0 - _RELAX) * y_prev
+        y = soft_threshold(h_rel + u, rho / sigma)
+        u = u + h_rel - y
         r_p = float(np.linalg.norm(h - y))
         r_d = float(sigma * np.linalg.norm(y - y_prev))
         r_ps[it - 1], r_ds[it - 1] = r_p, r_d
@@ -363,16 +375,20 @@ def solve_fps_constrained(s, r_level, config):
 # unique; the two routes agree when their H differ by at most _UNIQUE_TOL
 _GAP_TIE_TOL = 1e-10
 _UNIQUE_TOL = 1e-5
+# over-relaxation of the splitting step: the Y- and U-updates read
+# _RELAX * H + (1 - _RELAX) * Y_prev in place of H (1 is the plain step)
+_RELAX = 1.5
 
 
-def uniqueness_probe(s, config):
+def uniqueness_probe(s, config, solution=None):
     """Two-route uniqueness check for the penalized solution.
 
-    Solves the plain problem, reads the eigengap of S - rho Z at order k
-    off that solve's KKT report (kkt.eigengap), and re-solves, also through
-    `solve_fps`, with a strongly concave perturbation tau = gap / 2 (any
-    tau inside the gap leaves the maximizer unchanged when the solution is
-    the unique rank-k projector).  Agreement of the two routes within 1e-5
+    Solves the plain problem (or takes `solution`, a plain solve of the
+    same problem that the caller already holds), reads the eigengap of
+    S - rho Z at order k off that solve's KKT report (kkt.eigengap), and
+    re-solves, also through `solve_fps`, with a strongly concave
+    perturbation tau = gap / 2 (any tau inside the gap leaves the maximizer
+    unchanged when the solution is the unique rank-k projector).  Agreement of the two routes within 1e-5
     (Frobenius) certifies uniqueness; a collapsed gap raises GapCollapsed.
 
     The second route resumes from the first route's answer, the triple
@@ -384,10 +400,21 @@ def uniqueness_probe(s, config):
     concave, its maximizer is unique and the iteration converges to it from
     any start, so the warm start changes the iteration count, not the limit
     the first route is compared with.
+
+    A handed `solution` whose order k or dimension differs from the
+    problem's raises InvalidInput; it is returned as the first route.
     """
     sym = as_sym(s).entries
     p = sym.shape[0]
-    sol = solve_fps(sym, config.with_(tau_en=0.0))
+    if solution is None:
+        sol = solve_fps(sym, config.with_(tau_en=0.0))
+    elif solution.H.k != config.k or solution.H.dim != p:
+        raise InvalidInput(
+            f"solution has k={solution.H.k}, p={solution.H.dim}; "
+            f"the problem has k={config.k}, p={p}"
+        )
+    else:
+        sol = solution
     if config.k == p:
         return UniquenessProbe(unique=True, discrepancy=0.0, tau=0.0, gap=float("inf")), sol
     gap = sol.kkt.eigengap

@@ -191,7 +191,7 @@ def sparsistency_run():
         fp, fn, exact = support_error(sol.support, model.J)
         rec = {"exact": exact, "fp": fp, "fn": fn, "rho": rho}
         if exact:
-            probe, _ = uniqueness_probe(smat, cfg)
+            probe, _ = uniqueness_probe(smat, cfg, solution=sol)
             rec["unique"] = probe.unique
             rec["witness"] = build_witness(model.Sigma, smat, 2, model.J, rho)
         records.append(rec)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import fantope.solver
+from fantope.diagnostics import check_lcc
 from fantope.errors import (
     GapCollapsed,
     InfeasibleConstraint,
@@ -20,7 +24,7 @@ from fantope.solver import (
     solve_fps_constrained,
     uniqueness_probe,
 )
-from fantope.spectral import FantopePoint, top_k_projector
+from fantope.spectral import FantopePoint, eig_sym, top_k_projector
 from oracles import grid_solve_2x2, penalized_objective, random_feasible_point
 
 TOY = gen_toy(0.0).Sigma.entries
@@ -195,6 +199,22 @@ class TestPenalizedSolve:
         assert partial is not None
         assert partial.iters == 3
         assert partial.H.constraint_residual <= 1e-8  # H block stays feasible
+
+    def test_relaxed_step_iterations_on_bench_sample(self):
+        # the benchmark's p=200 spiked sample (trial seed 10000) at its
+        # plug-in penalty: the plain step takes 62 iterations, the
+        # over-relaxed one 40, at the same stationarity
+        model = gen_spiked(200, 2, range(5), (3.0, 2.0), 1.0, 12)
+        _, alpha = check_lcc(model.Sigma, 2, model.J)
+        s = sample_covariance(sample_gaussian(model, 8000, 10000)).entries
+        lam1 = float(eig_sym(s).eigenvalues[0])
+        rho = (3.0 * lam1 / alpha) * math.sqrt(math.log(200.0) / 8000.0)
+        sol = solve_fps(s, SolverConfig(k=2, rho=rho))
+        assert sol.iters <= 50
+        rep = check_kkt(s, sol, rho)
+        assert rep.sign_mismatch <= 1e-4
+        assert rep.dual_bound_violation <= 1e-6
+        assert rep.fantope_optimality_gap <= 1e-4 * (1.0 + abs(sol.objective))
 
 
 class TestSolutionFromLastProjection:
@@ -393,6 +413,32 @@ class TestUniquenessProbe:
         assert probe.tau == 0.5 * sol.kkt.eigengap
         # one per solve (its KKT report), none of its own
         assert len(calls) == 2
+
+    def test_handed_solution_replaces_the_plain_solve(self, monkeypatch):
+        s, cfg = spiked_case()
+        cold_probe, _ = uniqueness_probe(s, cfg)
+        sol = solve_fps(s, cfg)
+        real, calls = fantope.solver.solve_fps, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fantope.solver, "solve_fps", counting)
+        probe, got = uniqueness_probe(s, cfg, solution=sol)
+        monkeypatch.undo()
+        # the elastic-net resume is the only solve
+        assert len(calls) == 1 and calls[0].tau_en == probe.tau > 0
+        assert got is sol
+        assert probe == cold_probe
+
+    def test_handed_solution_of_another_problem_rejected(self):
+        s, cfg = spiked_case()
+        sol = solve_fps(s, cfg)
+        with pytest.raises(InvalidInput):
+            uniqueness_probe(s, cfg.with_(k=1), solution=sol)
+        with pytest.raises(InvalidInput):
+            uniqueness_probe(s[:-1, :-1], cfg, solution=sol)
 
 
 class TestWarmStart:
