@@ -19,6 +19,32 @@ an iteration or two) are the plain iteration's.  Relaxation cuts the
 iterations of a typical solve by about a third (p=200 spiked samples:
 about 41 against 63); an instance the plain step finishes in a handful of
 iterations can take more (the 3x3 toy: 23 against 3).
+
+The projection needs only the eigenpairs above the water level, about k
+of them near a solution, and the H-block's input M moves little between
+iterations.  So after an exact projection (one full eigh) the loop keeps
+M as M_ref, lambda_{r+1}(M_ref) and the top r eigenvectors V, with r the
+weighted pairs plus 2, and the next iterations take one Rayleigh-Ritz
+step on span[V, M V] instead (Knyazev 2001): the products M V and M Q
+(Q an orthonormal basis of the span), a p x 2r qr and a 2r x 2r eigh,
+water-filled by the same routine.  A step
+is accepted only if
+  - lambda_{r+1}(M_ref) + ||M - M_ref||_F < theta (Weyl check: no
+    eigenvalue outside the block reaches the water level theta), and
+  - every weighted Ritz pair has residual at most 0.1 min(r_p, r_d) of
+    the previous iteration, a bound that shrinks with the residuals, so
+    the projection errors are summable and the splitting step stays
+    convergent (Eckstein & Bertsekas 1992).
+A refused step falls back to the full eigh, whose input becomes the new
+M_ref; with 4r > p the loop always takes the full eigh.  Every exit
+(converged, stalled or out of iterations) leaves from an exact
+projection: an iteration whose Ritz step meets a stopping rule is redone
+exactly, so H, its constraint residual and the KKT report certify the
+answer as an exact iteration would.  On the p=200 spiked bench samples a
+solve takes the same 40-43 iterations with 4 full eigh (a cold start,
+two Weyl refreshes and the exact finish) instead of one per iteration,
+and about 1.6 ms per iteration instead of 6.1 (numpy 2.4 with OpenBLAS at
+one thread on a 2-core x86_64 host).
 """
 
 import math
@@ -29,7 +55,7 @@ import numpy as np
 
 from .base import SupportSet, entry_max_norm, l11_norm
 from .errors import GapCollapsed, InfeasibleConstraint, InvalidInput, NotConverged, SearchFailure
-from .spectral import FantopePoint, _project, _projected_point, as_sym
+from .spectral import FantopePoint, _project, _projected_point, _ritz_project, as_sym
 
 
 # ===== configuration and result types =====
@@ -192,10 +218,24 @@ def check_kkt(s, solution, rho, support_tol=1e-6):
     )
 
 
+def _reference(m, gamma, v, g):
+    """The Ritz step's state after an exact projection of m, or None to stay exact.
+
+    (m, lambda_{r+1}(m), the top r eigenvectors of m) with r the weighted
+    pairs plus _RITZ_MARGIN; None when 4r > p, where the block saves nothing.
+    """
+    p = gamma.shape[0]
+    r = int(np.count_nonzero(g)) + _RITZ_MARGIN
+    if 4 * r > p:
+        return None
+    return m, float(gamma[-r - 1]), v[:, -r:].copy()
+
+
 def _solve_raw(s, cfg, warm=None):
     """The one solve body: the splitting loop, then the solution read off its state.
 
-    Returns (solution, (H, Y, U)); the final triple lets a later solve resume.
+    warm is a trusted (H, Y, U) triple of p x p arrays.  Returns
+    (solution, (H, Y, U)); the final triple lets a later solve resume.
     """
     p = s.shape[0]
     k, rho, tau, sigma = cfg.k, cfg.rho, cfg.tau_en, cfg.admm_step
@@ -206,38 +246,54 @@ def _solve_raw(s, cfg, warm=None):
         y = h.copy()
         u = np.zeros((p, p))
     else:
-        h, y, u = (np.array(m, dtype=float) for m in warm)
+        h, y, u = warm
 
     s_step = s / sigma
     tol = cfg.eps * np.sqrt(p)
     r_ps = np.empty(cfg.max_iters)
     r_ds = np.empty(cfg.max_iters)
-    stalled = False
     window = 1000
+    ref = None  # (M_ref, lambda_{r+1}(M_ref), tracked top-r block) for the Ritz step
     for it in range(1, cfg.max_iters + 1):
         if tau == 0.0:
             m = y - u + s_step
         else:
             m = (s + sigma * (y - u)) / (tau + sigma)
-        h, _, _, _, g = _project(m, k)
-        y_prev = y
-        h_rel = _RELAX * h + (1.0 - _RELAX) * y_prev
-        y = soft_threshold(h_rel + u, rho / sigma)
-        u = u + h_rel - y
-        r_p = float(np.linalg.norm(h - y))
-        r_d = float(sigma * np.linalg.norm(y - y_prev))
-        r_ps[it - 1], r_ds[it - 1] = r_p, r_d
-        if r_p <= tol and r_d <= tol:
-            break
-        # sublinear-progress bail-out: a degenerate penalty (tied optima)
-        # makes the iterates drift along the solution face at O(1/t); a
-        # linear-rate solve shrinks far more than 0.5% per thousand steps
-        if it >= 2 * window and it % window == 0:
-            ratios = np.maximum(r_ps[it - window:it], r_ds[it - window:it]) / tol
-            half = window // 2
-            if ratios[half:].min() > 0.995 * ratios[:half].min():
-                stalled = True
+        # a Ritz step when one is tracked, else (or on refusal, or to exit) the full eigh
+        for exact in (ref is None, True):
+            if exact:
+                h, _, gamma, v, g = _project(m, k)
+                ref = _reference(m, gamma, v, g)
+            else:
+                # Weyl: lambda_{r+1}(m) <= lambda_{r+1}(M_ref) + ||m - M_ref||_F
+                m_ref, lam_ref, v = ref
+                step = _ritz_project(m, k, v, lam_ref + float(np.linalg.norm(m - m_ref)),
+                                     _RITZ_RES_FRAC * min(r_p, r_d))
+                if step is None:
+                    continue
+                h, v, g = step
+                ref = (m_ref, lam_ref, v)
+            h_rel = _RELAX * h + (1.0 - _RELAX) * y
+            y_new = soft_threshold(h_rel + u, rho / sigma)
+            u_new = u + h_rel - y_new
+            r_p = float(np.linalg.norm(h - y_new))
+            r_d = float(sigma * np.linalg.norm(y_new - y))
+            r_ps[it - 1], r_ds[it - 1] = r_p, r_d
+            converged = r_p <= tol and r_d <= tol
+            # sublinear-progress bail-out: a degenerate penalty (tied optima)
+            # makes the iterates drift along the solution face at O(1/t); a
+            # linear-rate solve shrinks far more than 0.5% per thousand steps
+            stalled = False
+            if not converged and it >= 2 * window and it % window == 0:
+                ratios = np.maximum(r_ps[it - window:it], r_ds[it - window:it]) / tol
+                half = window // 2
+                stalled = bool(ratios[half:].min() > 0.995 * ratios[:half].min())
+            # every exit leaves from an exact projection: redo a Ritz step that would stop
+            if exact or not (converged or stalled or it == cfg.max_iters):
                 break
+        y, u = y_new, u_new
+        if converged or stalled:
+            break
 
     if rho > 0.0:
         z_raw = (sigma / rho) * u
@@ -273,13 +329,31 @@ def _solve_raw(s, cfg, warm=None):
 def solve_fps(s, config, warm=None):
     """Penalized Fantope solve; tau_en > 0 makes it strongly concave.
 
-    warm is an optional (H, Y, U) triple to resume from.  Raises
-    NotConverged (carrying the partial solution) if the iteration budget
-    runs out or progress stalls.
+    warm is an optional (H, Y, U) triple of finite p x p arrays to resume
+    from; anything else raises InvalidInput.  Raises NotConverged (carrying
+    the partial solution) if the iteration budget runs out or progress
+    stalls.
     """
     sym = as_sym(s).entries
+    if warm is not None:
+        warm = _warm_triple(warm, sym.shape[0])
     sol, _ = _solve_raw(sym, config, warm)
     return sol
+
+
+def _warm_triple(warm, p):
+    """A caller's warm start as three finite p x p float arrays, or InvalidInput."""
+    try:
+        parts = [np.array(a, dtype=float) for a in warm]
+    except (TypeError, ValueError) as e:
+        raise InvalidInput(f"warm must be an (H, Y, U) triple of arrays: {e}") from None
+    if len(parts) != 3 or any(a.shape != (p, p) for a in parts):
+        raise InvalidInput(
+            f"warm must be three {p}x{p} arrays (H, Y, U), got shapes {[a.shape for a in parts]}"
+        )
+    if not all(np.all(np.isfinite(a)) for a in parts):
+        raise InvalidInput("warm has non-finite entries")
+    return parts
 
 
 # ===== constrained form =====
@@ -378,6 +452,10 @@ _UNIQUE_TOL = 1e-5
 # over-relaxation of the splitting step: the Y- and U-updates read
 # _RELAX * H + (1 - _RELAX) * Y_prev in place of H (1 is the plain step)
 _RELAX = 1.5
+# the Ritz step tracks the weighted eigenpairs plus _RITZ_MARGIN more, and a
+# weighted Ritz residual may be _RITZ_RES_FRAC of the last min(r_p, r_d)
+_RITZ_MARGIN = 2
+_RITZ_RES_FRAC = 0.1
 
 
 def uniqueness_probe(s, config, solution=None):

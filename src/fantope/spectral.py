@@ -144,24 +144,16 @@ def eig_sym(a):
     return _descending(w, v)
 
 
-def _project(m, k):
-    """Fantope projection of a symmetric array, on raw arrays and unvalidated.
+def _water_fill(gamma, k):
+    """Water level theta and weights g = clip(gamma - theta, 0, 1) summing to k.
 
-    Returns (h, theta, gamma, v, g): the projection, the water level, the
-    ascending eigenvalues and eigenvectors of m, and the clipped eigenvalues
-    g = clip(gamma - theta, 0, 1).  This is the solver's per-iteration
-    kernel and the one projection path; fantope_project wraps it.
-
-    The water level solves phi(theta) = sum_j clip(gamma_j - theta, 0, 1) = k.
-    phi is continuous, piecewise linear and non-increasing, with kinks only at
-    gamma_j and gamma_j - 1, so it is evaluated at every kink from prefix sums
-    of the sorted spectrum, and the root is interpolated on the one segment
-    where phi crosses k (the largest root when phi is flat at k).
+    gamma is ascending and has at least k entries.  The water level solves
+    phi(theta) = sum_j clip(gamma_j - theta, 0, 1) = k.  phi is continuous,
+    piecewise linear and non-increasing, with kinks only at gamma_j and
+    gamma_j - 1, so it is evaluated at every kink from prefix sums of the
+    sorted spectrum, and the root is interpolated on the one segment where
+    phi crosses k (the largest root when phi is flat at k).
     """
-    try:
-        gamma, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
     p = gamma.shape[0]
     if k == p:
         # every clipped eigenvalue must saturate at 1
@@ -190,11 +182,67 @@ def _project(m, k):
     if resid != 0.0 and active:
         theta += resid / active
         g = np.clip(gamma - theta, 0.0, 1.0)
-    # solutions are low-rank: rebuild from the columns that carry weight only
+    return theta, g
+
+
+def _rebuild(v, g):
+    """sum_j g_j v_j v_j^T from the columns that carry weight only (solutions are low-rank)."""
     keep = g > 0.0
     vk = v[:, keep]
     h = (vk * g[keep]) @ vk.T
-    return 0.5 * (h + h.T), theta, gamma, v, g
+    return 0.5 * (h + h.T)
+
+
+def _project(m, k):
+    """Fantope projection of a symmetric array, on raw arrays and unvalidated.
+
+    Returns (h, theta, gamma, v, g): the projection, the water level, the
+    ascending eigenvalues and eigenvectors of m, and the clipped eigenvalues
+    g = clip(gamma - theta, 0, 1).  This is the solver's exact projection
+    and the one full-spectrum path; fantope_project wraps it.
+    """
+    try:
+        gamma, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+    theta, g = _water_fill(gamma, k)
+    return _rebuild(v, g), theta, gamma, v, g
+
+
+def _ritz_project(m, k, v, ceiling, res_tol):
+    """Fantope projection of m from one Rayleigh-Ritz step, or None when uncertified.
+
+    v is an orthonormal p x r block (2r <= p) that tracks the top r
+    eigenvectors of m, and ceiling is an upper bound on the (r+1)-th largest
+    eigenvalue of m.  The step takes the Ritz pairs (mu_j, x_j) of m on
+    span[v, m v] (one p x 2r qr and a 2r x 2r eigh), water-fills the top r
+    Ritz values with the exact projection's routine, and rebuilds
+    H = sum_j g_j x_j x_j^T.  It is accepted only if
+      - ceiling < theta: no eigenvalue of m outside the block reaches the
+        water level, so none of them carries weight, and
+      - every weighted Ritz pair has residual ||m x_j - mu_j x_j|| <= res_tol.
+    Returns (h, x, g): the projection, and the top r Ritz vectors (the next
+    block) with their weights; or None, without building H, when either
+    check fails or the small eigh does (the full eigh then reports it).
+    """
+    r = v.shape[1]
+    q, _ = np.linalg.qr(np.hstack([v, m @ v]))
+    mq = m @ q
+    t = q.T @ mq
+    try:
+        mu, y = np.linalg.eigh(0.5 * (t + t.T))
+    except np.linalg.LinAlgError:
+        return None
+    mu, y = mu[-r:], y[:, -r:]
+    theta, g = _water_fill(mu, k)
+    if not ceiling < theta:
+        return None
+    w = g > 0.0
+    x = q @ y
+    res = np.linalg.norm(mq @ y[:, w] - x[:, w] * mu[w], axis=0)
+    if not float(res.max()) <= res_tol:
+        return None
+    return _rebuild(x, g), x, g
 
 
 def _projected_point(h, k, g):

@@ -13,7 +13,14 @@ from fantope.errors import (
     NotConverged,
 )
 from fantope.base import l11_norm
-from fantope.models import gen_spiked, gen_toy, sample_covariance, sample_gaussian
+from fantope.cli import CLIQUE_RHO_MULT
+from fantope.models import (
+    gen_planted_clique,
+    gen_spiked,
+    gen_toy,
+    sample_covariance,
+    sample_gaussian,
+)
 from fantope.solver import (
     FpsSolution,
     KktReport,
@@ -51,16 +58,38 @@ def resume_state(sol, cfg):
     return h, h, (cfg.rho / cfg.admm_step) * (sol.Z + np.eye(h.shape[0]))
 
 
-def count_eigvalsh(monkeypatch):
-    """Wrap np.linalg.eigvalsh; returns the list of the input shapes it sees."""
-    real, calls = np.linalg.eigvalsh, []
+def count_linalg(monkeypatch, name):
+    """Wrap np.linalg.<name>; returns the list of the input shapes it sees."""
+    real, calls = getattr(np.linalg, name), []
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def bench_case():
+    """The benchmark's p=200 spiked sample (trial seed 10000) at its plug-in penalty."""
+    model = gen_spiked(200, 2, range(5), (3.0, 2.0), 1.0, 12)
+    _, alpha = check_lcc(model.Sigma, 2, model.J)
+    s = sample_covariance(sample_gaussian(model, 8000, 10000)).entries
+    lam1 = float(eig_sym(s).eigenvalues[0])
+    rho = (3.0 * lam1 / alpha) * math.sqrt(math.log(200.0) / 8000.0)
+    return s, SolverConfig(k=2, rho=rho)
+
+
+def full_eigh_only(monkeypatch):
+    """Refuse every Ritz step, so each iteration takes the full eigh."""
+    monkeypatch.setattr(fantope.solver, "_ritz_project", lambda *args: None)
+
+
+def assert_gate10_kkt(s, sol, rho):
+    rep = check_kkt(s, sol, rho)
+    assert rep.sign_mismatch <= 1e-4
+    assert rep.dual_bound_violation <= 1e-6
+    assert rep.fantope_optimality_gap <= 1e-4 * (1.0 + abs(sol.objective))
 
 
 def rand_sym(rng, p, scale=1.0):
@@ -201,20 +230,12 @@ class TestPenalizedSolve:
         assert partial.H.constraint_residual <= 1e-8  # H block stays feasible
 
     def test_relaxed_step_iterations_on_bench_sample(self):
-        # the benchmark's p=200 spiked sample (trial seed 10000) at its
-        # plug-in penalty: the plain step takes 62 iterations, the
+        # the plain step takes 62 iterations on the bench sample, the
         # over-relaxed one 40, at the same stationarity
-        model = gen_spiked(200, 2, range(5), (3.0, 2.0), 1.0, 12)
-        _, alpha = check_lcc(model.Sigma, 2, model.J)
-        s = sample_covariance(sample_gaussian(model, 8000, 10000)).entries
-        lam1 = float(eig_sym(s).eigenvalues[0])
-        rho = (3.0 * lam1 / alpha) * math.sqrt(math.log(200.0) / 8000.0)
-        sol = solve_fps(s, SolverConfig(k=2, rho=rho))
+        s, cfg = bench_case()
+        sol = solve_fps(s, cfg)
         assert sol.iters <= 50
-        rep = check_kkt(s, sol, rho)
-        assert rep.sign_mismatch <= 1e-4
-        assert rep.dual_bound_violation <= 1e-6
-        assert rep.fantope_optimality_gap <= 1e-4 * (1.0 + abs(sol.objective))
+        assert_gate10_kkt(s, sol, cfg.rho)
 
 
 class TestSolutionFromLastProjection:
@@ -223,7 +244,7 @@ class TestSolutionFromLastProjection:
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_one_eigvalsh_per_solve(self, monkeypatch, tau):
         s, cfg = spiked_case()
-        calls = count_eigvalsh(monkeypatch)
+        calls = count_linalg(monkeypatch, "eigvalsh")
         solve_fps(s, cfg.with_(tau_en=tau))
         monkeypatch.undo()
         assert calls == [s.shape]  # its KKT report's
@@ -257,6 +278,63 @@ class TestSolutionFromLastProjection:
             again = e.solution
         assert again.iters == 1
         self.assert_certified(again)
+
+
+class TestRitzStep:
+    """Iterations between full eigendecompositions take a certified Ritz step."""
+
+    def test_full_eigh_count_on_bench_sample(self, monkeypatch):
+        # one full eigh per iteration would be 40: a cold start, a couple of
+        # Weyl refreshes and the exact finish remain
+        s, cfg = bench_case()
+        calls = count_linalg(monkeypatch, "eigh")
+        sol = solve_fps(s, cfg)
+        monkeypatch.undo()
+        assert calls.count(s.shape) <= 6
+        assert sol.iters <= 50
+        assert_gate10_kkt(s, sol, cfg.rho)
+        full_eigh_only(monkeypatch)
+        full = solve_fps(s, cfg)
+        assert sol.iters == full.iters
+        assert sol.support == full.support
+        assert np.linalg.norm(sol.H.entries - full.H.entries) <= 1e-5
+
+    def test_degenerate_input_falls_back(self, monkeypatch):
+        # `fps clique --p 200 --s 5 --seed 1`: a clique below the detection
+        # threshold, where Ritz steps and fallbacks to the full eigh mix
+        p = 200
+        s = gen_planted_clique(p, 5, 1_000_003)[1].entries
+        cfg = SolverConfig(k=1, rho=CLIQUE_RHO_MULT * math.sqrt(math.log(p) / (p - 1)),
+                           support_tol=1e-3)
+        calls = count_linalg(monkeypatch, "eigh")
+        sol = solve_fps(s, cfg)
+        monkeypatch.undo()
+        assert 4 < calls.count(s.shape) < sol.iters
+        full_eigh_only(monkeypatch)
+        full = solve_fps(s, cfg)
+        assert sol.iters == full.iters
+        assert sol.support == full.support
+
+    @pytest.mark.parametrize("max_iters", [10, 20000])
+    def test_every_exit_is_an_exact_projection(self, monkeypatch, max_iters):
+        # converged or out of iterations, H is the output of the last full
+        # _project call, never of a Ritz step
+        s, cfg = spiked_case()
+        real, outputs = fantope.solver._project, []
+
+        def recording(m, k):
+            out = real(m, k)
+            outputs.append(out[0])
+            return out
+
+        monkeypatch.setattr(fantope.solver, "_project", recording)
+        try:
+            sol = solve_fps(s, cfg.with_(max_iters=max_iters))
+        except NotConverged as e:
+            sol = e.solution
+        assert sol.H.entries is outputs[-1]
+        assert len(outputs) < sol.iters
+        TestSolutionFromLastProjection.assert_certified(sol)
 
 
 class TestDualRecovery:
@@ -406,7 +484,7 @@ class TestUniquenessProbe:
 
     def test_gap_is_the_plain_solves_eigengap(self, monkeypatch):
         s, cfg = spiked_case()
-        calls = count_eigvalsh(monkeypatch)
+        calls = count_linalg(monkeypatch, "eigvalsh")
         probe, sol = uniqueness_probe(s, cfg)
         monkeypatch.undo()
         assert probe.gap == sol.kkt.eigengap
@@ -472,6 +550,23 @@ class TestWarmStart:
             h0 = random_feasible_point(rng, s.shape[0], cfg.k)
             warm = solve_fps(s, cfg_en, warm=(h0, h0, np.zeros_like(h0)))
             assert np.linalg.norm(warm.H.entries - cold.H.entries) <= 1e-5
+
+
+    @pytest.mark.parametrize("warm", [
+        "other_dim", "pair", "non_finite", "ragged", "scalar",
+    ])
+    def test_malformed_warm_rejected(self, warm):
+        s = rand_sym(np.random.default_rng(2), 4)
+        a = np.zeros((4, 4))
+        bad = {
+            "other_dim": (np.eye(3), np.eye(3), np.eye(3)),
+            "pair": (a, a),
+            "non_finite": (a, a, np.full((4, 4), np.nan)),
+            "ragged": (a, a, [[0.0, 1.0], [2.0]]),
+            "scalar": 3.0,
+        }[warm]
+        with pytest.raises(InvalidInput):
+            solve_fps(s, SolverConfig(k=1, rho=0.1), warm=bad)
 
 
 class TestInvariance:

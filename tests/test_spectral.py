@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fantope.errors import InvalidInput
 from fantope.solver import _GAP_TIE_TOL
@@ -9,6 +9,7 @@ from fantope.spectral import (
     FantopePoint,
     SymMat,
     _project,
+    _ritz_project,
     as_sym,
     eig_sym,
     fantope_project,
@@ -232,6 +233,72 @@ class TestProjectionProperties:
         theta_ref = waterfill_theta_breakpoints(gamma, k)
         assert abs(res.theta - theta_ref) <= 1e-9 * (1.0 + np.max(np.abs(gamma)))
         npt.assert_allclose(res.gamma_plus, np.clip(gamma - theta_ref, 0.0, 1.0), atol=1e-9)
+
+
+@st.composite
+def tracked_block(draw):
+    """(m, k, v, weyl_ceiling): a Ritz step's input one solver iteration on.
+
+    m_ref has a few raised top eigenvalues; v holds its top r eigenvectors
+    (r = weighted pairs + 2), slightly rotated, and m = m_ref + E.  The
+    ceiling is the solver's Weyl bound lambda_{r+1}(m_ref) + ||E||_F.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(12, 40))
+    k = draw(st.integers(1, 3))
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    w = np.sort(rng.normal(size=p))[::-1]
+    w[:k + draw(st.integers(0, 2))] += draw(st.floats(0.0, 3.0))
+    m_ref = rotated(w, q)
+    _, _, gamma, vecs, g = _project(m_ref, k)
+    r = int(np.count_nonzero(g)) + 2
+    assume(4 * r <= p)
+    tilt = 10.0 ** draw(st.floats(-9.0, -1.0))
+    v, _ = np.linalg.qr(vecs[:, -r:] + tilt * rng.normal(size=(p, r)))
+    e = rng.normal(size=(p, p))
+    e = 0.5 * (e + e.T)
+    e *= 10.0 ** draw(st.floats(-9.0, 0.0)) / np.linalg.norm(e)
+    return m_ref + e, k, v, float(gamma[-r - 1] + np.linalg.norm(e))
+
+
+class TestRitzStep:
+    @PROPERTY
+    @given(tracked_block())
+    def test_accepted_step_within_davis_kahan(self, case):
+        # M with the weighted Ritz pairs' residuals R deflated,
+        # M - R X^T - X R^T, has those pairs as exact eigenpairs and
+        # ||R X^T + X R^T||_F = sqrt(2) ||R||_F; the projection is
+        # 1-Lipschitz, so once the rest of its spectrum sits below the water
+        # level (the Davis-Kahan gap condition) H is within sqrt(2) ||R||_F
+        # of the exact projection.  Dividing by min(1, gap) covers the rest.
+        m, k, v, ceiling = case
+        step = _ritz_project(m, k, v, ceiling, np.inf)
+        assume(step is not None)
+        h, x, g = step
+        assert abs(float(g.sum()) - k) <= 1e-10 * k
+        xw = x[:, g > 0.0]
+        mu = np.sum(xw * (m @ xw), axis=0)
+        res = np.linalg.norm(m @ xw - xw * mu, axis=0)
+        lam = np.linalg.eigvalsh(m)[::-1]
+        gap = float(mu.min() - lam[xw.shape[1]])
+        assume(gap > 0.0)
+        exact = _project(m, k)[0]
+        bound = np.sqrt(2.0) * np.linalg.norm(res) / min(1.0, gap)
+        assert np.linalg.norm(h - exact) <= bound + 1e-10 * (1.0 + np.max(np.abs(m)))
+        # the residual check: a tolerance under the worst weighted residual refuses
+        if res.max() > 0.0:
+            assert _ritz_project(m, k, v, ceiling, 0.5 * float(res.max())) is None
+
+    @PROPERTY
+    @given(tracked_block(), st.floats(0.0, 1.0))
+    def test_failed_weyl_check_returns_no_h(self, case, slack):
+        # Ritz values interlace below the eigenvalues and the water level
+        # grows with every value it fills, so the block's level is at most
+        # the exact one: a ceiling at or above the exact level must fail
+        m, k, v, _ = case
+        theta = _project(m, k)[1]
+        ceiling = theta + slack + 1e-12 * (1.0 + abs(theta))
+        assert _ritz_project(m, k, v, ceiling, np.inf) is None
 
 
 class TestFantopePoint:
