@@ -1,10 +1,22 @@
-"""Shared primitives: matrix norms, support sets."""
+"""Shared primitives: the integer rule, matrix norms, support sets."""
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
+
+
+# ===== the one integer rule for counts, orders, sizes and seeds =====
+
+def _integer(name, value, least=1):
+    # integer-valued floats (a config file's "2.0") are accepted and stored as int
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < least):
+        raise InvalidInput(f"{name}={value!r} must be an integer >= {least}")
+    return int(value)
 
 
 # ===== matrix norms used by the estimator's bounds =====

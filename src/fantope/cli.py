@@ -43,11 +43,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .base import as_support
+from .base import _integer, as_support
 from .errors import (InfeasibleConstraint, InvalidInput, NotConverged,
                      NumericalFailure, SearchFailure, SpsViolated)
 from .spectral import as_sym, eig_sym
-from .solver import SolverConfig, _integer, solve_fps, solve_fps_constrained
+from .solver import SolverConfig, solve_fps, solve_fps_constrained
 from .models import (gen_planted_clique, gen_spiked, gen_toy, load_matrix_csv,
                      sample_covariance, sample_gaussian, save_matrix_csv)
 from .diagnostics import (check_lcc, check_recovery_conditions,

@@ -3,28 +3,41 @@
 Each generator returns a ModelInstance carrying the population covariance,
 its top-k projector, the true support, and the eigengap, so experiments can
 score support recovery and subspace error against ground truth.
+
+Gaussian draws stream: sample_gaussian takes its N(0, I) rows in blocks of
+about 1 MiB from one seeded generator and keeps only their merged mean and
+centred scatter (the pairwise update of Chan, Golub & LeVeque, 1983), and
+sample_covariance colours that scatter once with the model's Sigma^{1/2}.
+A draw holds O(p^2 + block * p) memory and takes no eigendecomposition.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .base import SupportSet, _support_of, as_support, entry_max_norm
+from .base import SupportSet, _integer, _support_of, as_support, entry_max_norm
 from .errors import DegenerateModel, InvalidInput
-from .spectral import FantopePoint, SymMat, as_sym, eig_sym, top_k_projector
+from .spectral import FantopePoint, SymMat, _top_k, as_sym, eig_sym
 
 
 # ===== domain types =====
 
 @dataclass(frozen=True)
 class ModelInstance:
-    """A population covariance with known principal-subspace structure."""
+    """A population covariance with known principal-subspace structure.
+
+    root is the symmetric square root Sigma^{1/2} (eigenvalues clipped at
+    0), read off the same eigendecomposition as Pi; sample_gaussian
+    colours its draws with it.
+    """
 
     Sigma: SymMat
     Pi: FantopePoint
     J: SupportSet
     gap: float
     k: int
+    root: np.ndarray = field(repr=False, compare=False)
     params: dict = field(default_factory=dict)
 
     @property
@@ -34,19 +47,30 @@ class ModelInstance:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """n i.i.d. rows drawn from a model; X has shape (n, p)."""
+    """n i.i.d. rows drawn from a model, held as their white moments.
 
-    X: np.ndarray
+    scatter is the centred scatter sum_i (z_i - zbar)(z_i - zbar)^T of the
+    N(0, I) rows z_i; the rows themselves, X = Z root with shape (n, p), are
+    regenerated from the seed when X is first read.
+    """
+
     n: int
     p: int
     seed: int
+    root: np.ndarray = field(repr=False, compare=False)
+    scatter: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def X(self):
+        return np.random.default_rng(self.seed).normal(size=(self.n, self.p)) @ self.root
 
 
 # ===== generators =====
 
 def _finish_instance(sigma, k, expect_support, params):
     sig = as_sym(sigma)
-    pi, gap = top_k_projector(sig, k)
+    spec = eig_sym(sig)
+    pi, gap = _top_k(spec, k)
     if gap <= 0.0:
         raise DegenerateModel(f"population eigengap is {gap:.3e}")
     got = _support_of(np.diag(pi.entries))
@@ -55,7 +79,11 @@ def _finish_instance(sigma, k, expect_support, params):
         raise DegenerateModel(
             f"projector support {got.indices} differs from intended {want.indices}"
         )
-    return ModelInstance(Sigma=sig, Pi=pi, J=want, gap=float(gap), k=int(k), params=params)
+    v, w = spec.eigenvectors, np.clip(spec.eigenvalues, 0.0, None)
+    root = (v * np.sqrt(w)) @ v.T
+    root.flags.writeable = False
+    return ModelInstance(Sigma=sig, Pi=pi, J=want, gap=float(gap), k=int(k),
+                         root=root, params=params)
 
 
 def gen_toy(t):
@@ -88,14 +116,16 @@ def gen_spiked(p, k, j, spike_values, noise, seed):
     support rule (leverage above 1e-10) is rejected and resampled (at most
     100 tries).  The eigengap is spike_values[k-1] by construction.
     """
+    p, k, seed = _integer("p", p), _integer("k", k), _integer("seed", seed, least=0)
     j = as_support(j)
     spikes = np.asarray(spike_values, dtype=float)
     if spikes.ndim != 1 or spikes.shape[0] != k:
         raise InvalidInput("need exactly k spike values")
     if np.any(spikes <= 0) or np.any(np.diff(spikes) > 0):
         raise InvalidInput("spike values must be positive and non-increasing")
-    if not (1 <= k <= j.size <= p):
-        raise InvalidInput(f"need 1 <= k <= |j| <= p, got k={k}, |j|={j.size}, p={p}")
+    if not (1 <= k <= j.size <= p) or j.indices[-1] >= p:
+        raise InvalidInput(f"need 1 <= k <= |j| <= p and j in range(p), "
+                           f"got k={k}, j={j.indices}, p={p}")
     if noise <= 0:
         raise InvalidInput("noise variance must be positive")
     rng = np.random.default_rng(seed)
@@ -112,9 +142,9 @@ def gen_spiked(p, k, j, spike_values, noise, seed):
     u_emb[j.as_array(), :] = u
     sigma = (u_emb * spikes) @ u_emb.T + noise * np.eye(p)
     params = {
-        "model": "spiked", "p": int(p), "k": int(k), "s": int(s),
+        "model": "spiked", "p": p, "k": k, "s": s,
         "spikes": tuple(float(x) for x in spikes), "noise": float(noise),
-        "seed": int(seed),
+        "seed": seed,
     }
     return _finish_instance(sigma, k, j, params)
 
@@ -128,6 +158,7 @@ def gen_planted_clique(p, s, seed):
     Sigma has diagonal p/(p-1), in-clique off-diagonal s/(p-1), zero outside,
     so the leading eigenvector of Sigma is 1_J / sqrt(s).
     """
+    p, s, seed = _integer("p", p), _integer("s", s), _integer("seed", seed, least=0)
     if not (2 <= s <= p):
         raise InvalidInput(f"need 2 <= s <= p, got s={s}, p={p}")
     if p < 3:
@@ -146,30 +177,69 @@ def gen_planted_clique(p, s, seed):
     sigma = np.zeros((p, p))
     sigma[np.ix_(range(s), range(s))] = s / (p - 1)
     np.fill_diagonal(sigma, p / (p - 1))
-    params = {"model": "planted_clique", "p": int(p), "s": int(s), "seed": int(seed)}
+    params = {"model": "planted_clique", "p": p, "s": s, "seed": seed}
     model = _finish_instance(sigma, 1, range(s), params)
     return model, s_mat
 
 
 # ===== sampling =====
 
+# about 1 MiB of N(0, I) rows per block: large enough that the per-block
+# products dominate the loop, small next to the (n, p) draw it replaces
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(p):
+    return max(1, _BLOCK_BYTES // (8 * p))
+
+
+def _moments(x):
+    """(count, mean, centred scatter) of the rows of x, in two passes."""
+    mean = x.mean(axis=0, keepdims=True)
+    xc = x - mean
+    return x.shape[0], mean, xc.T @ xc
+
+
+def _merge(a, b):
+    """Moments of the union of two row sets (Chan, Golub & LeVeque); reuses a's scatter."""
+    na, ma, ca = a
+    nb, mb, cb = b
+    n = na + nb
+    d = mb - ma
+    ca += cb
+    ca += (na * nb / n) * (d.T @ d)
+    return n, ma + (nb / n) * d, ca
+
+
 def sample_gaussian(model, n, seed):
-    """n i.i.d. rows from N(0, Sigma), reproducible for a given seed."""
-    if n < 2:
-        raise InvalidInput("need n >= 2 samples")
-    spec = eig_sym(model.Sigma)
-    w = np.clip(spec.eigenvalues, 0.0, None)
-    root = (spec.eigenvectors * np.sqrt(w)) @ spec.eigenvectors.T
+    """n i.i.d. rows from N(0, Sigma), reproducible for a given seed.
+
+    The white rows are drawn block by block from default_rng(seed), the
+    stream a single (n, p) draw would read, and only their merged moments
+    are kept; no (n, p) array is held.
+    """
+    n, seed = _integer("n", n, least=2), _integer("seed", seed, least=0)
+    p, rows = model.dim, _block_rows(model.dim)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, model.dim)) @ root
-    return SampleBatch(X=x, n=int(n), p=model.dim, seed=int(seed))
+    acc = None
+    for start in range(0, n, rows):
+        block = _moments(rng.normal(size=(min(rows, n - start), p)))
+        acc = block if acc is None else _merge(acc, block)
+    scatter = acc[2]
+    scatter.flags.writeable = False
+    return SampleBatch(n=n, p=p, seed=seed, root=model.root, scatter=scatter)
 
 
 def sample_covariance(batch):
-    """Centered sample covariance with 1/n normalization."""
-    x = np.asarray(batch.X, dtype=float)
-    xc = x - x.mean(axis=0, keepdims=True)
-    return SymMat.from_array(xc.T @ xc / x.shape[0])
+    """Centered sample covariance with 1/n normalization.
+
+    A SampleBatch is coloured once, S = root (C / n) root, from the white
+    scatter C; any other object with rows .X is one block of its own.
+    """
+    if isinstance(batch, SampleBatch):
+        return SymMat.from_array(batch.root @ (batch.scatter / batch.n) @ batch.root)
+    n, _, scatter = _moments(np.asarray(batch.X, dtype=float))
+    return SymMat.from_array(scatter / n)
 
 
 def entrywise_error(s, sigma):

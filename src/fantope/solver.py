@@ -53,20 +53,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .base import SupportSet, entry_max_norm, l11_norm
+from .base import SupportSet, _integer, entry_max_norm, l11_norm
 from .errors import GapCollapsed, InfeasibleConstraint, InvalidInput, NotConverged, SearchFailure
 from .spectral import FantopePoint, _project, _projected_point, _ritz_project, as_sym
 
 
 # ===== configuration and result types =====
-
-def _integer(name, value, least=1):
-    # integer-valued floats (a config file's "2.0") are accepted and stored as int
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value) or value < least):
-        raise InvalidInput(f"{name}={value!r} must be an integer >= {least}")
-    return int(value)
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -140,3 +140,25 @@ def waterfill_theta_breakpoints(gamma, k):
         return float(kinks[i])
     frac = (phi[i] - k) / (phi[i] - phi[i + 1])
     return float(kinks[i] + frac * (kinks[i + 1] - kinks[i]))
+
+
+def gaussian_rows(sigma, n, seed):
+    """n rows of N(0, Sigma) as one (n, p) draw: default_rng(seed) white rows times Sigma^{1/2}.
+
+    The root is built from numpy's eigh with its spectrum reversed to
+    descending order, the order in which the package stores a spectrum, so
+    the product matches a sampler that colours with that root bit for bit.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    w, v = np.linalg.eigh(sigma)
+    w, v = np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return np.random.default_rng(seed).normal(size=(n, sigma.shape[0])) @ root
+
+
+def two_pass_covariance(x):
+    """Centred 1/n covariance of the rows of x: subtract the mean, then one product."""
+    x = np.asarray(x, dtype=float)
+    xc = x - x.mean(axis=0, keepdims=True)
+    s = xc.T @ xc / x.shape[0]
+    return 0.5 * (s + s.T)

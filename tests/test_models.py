@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from fantope.diagnostics import check_sps
 from fantope.errors import InvalidInput
 from fantope.models import (
+    _block_rows,
     entrywise_error,
     gen_planted_clique,
     gen_spiked,
@@ -14,6 +17,8 @@ from fantope.models import (
     sample_gaussian,
     save_matrix_csv,
 )
+from oracles import gaussian_rows, two_pass_covariance
+from test_solver import count_linalg
 
 PAIR_PROJECTOR = np.array([
     [0.5, 0.5, 0.0],
@@ -173,6 +178,77 @@ class TestSampling:
     def test_n_too_small(self):
         with pytest.raises(InvalidInput):
             sample_gaussian(gen_toy(0.0), 1, seed=0)
+
+
+# the benchmark's p=200 spiked model and the row count of one sampling block
+BENCH_P = 200
+BLOCK = _block_rows(BENCH_P)
+
+
+@pytest.fixture(scope="module")
+def bench_model():
+    return gen_spiked(BENCH_P, 2, range(5), (3.0, 2.0), 1.0, 12)
+
+
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 8000])
+class TestStreamedSampling:
+    def test_rows_are_the_one_shot_draw(self, bench_model, n):
+        batch = sample_gaussian(bench_model, n, seed=10000)
+        npt.assert_array_equal(batch.X, gaussian_rows(bench_model.Sigma.entries, n, 10000))
+
+    def test_streamed_covariance_matches_two_pass(self, bench_model, n):
+        batch = sample_gaussian(bench_model, n, seed=10000)
+        ref = two_pass_covariance(batch.X)
+        s = sample_covariance(batch).entries
+        assert np.max(np.abs(s - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_row_batch_is_the_two_pass_result(self, bench_model, n):
+        x = gaussian_rows(bench_model.Sigma.entries, n, 10000)
+        npt.assert_array_equal(sample_covariance(SampleLike(x)).entries, two_pass_covariance(x))
+
+
+class TestSamplingCost:
+    def test_draw_peaks_below_4mb(self, bench_model):
+        # the (n, p) rows alone are 12.8 MB at n=8000
+        tracemalloc.start()
+        try:
+            sample_covariance(sample_gaussian(bench_model, 8000, seed=10000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_draw_takes_no_eigh(self, monkeypatch, bench_model):
+        calls = count_linalg(monkeypatch, "eigh")
+        sample_covariance(sample_gaussian(bench_model, 8000, seed=10000))
+        assert calls == []
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("call", [
+        lambda m: sample_gaussian(m, 2.5, 1),
+        lambda m: sample_gaussian(m, 10, -1),
+        lambda m: sample_gaussian(m, 10, 1.5),
+        lambda m: sample_gaussian(m, 10, "a"),
+        lambda m: gen_spiked(10.5, 1, range(5), (2.0,), 1.0, 0),
+        lambda m: gen_spiked(10, 1.5, range(5), (2.0,), 1.0, 0),
+        lambda m: gen_spiked(10, 1, range(5), (2.0,), 1.0, -1),
+        lambda m: gen_spiked(10, 1, (0, 1, 20), (2.0,), 1.0, 0),
+        lambda m: gen_planted_clique(10.5, 3, 0),
+        lambda m: gen_planted_clique(10, 3.5, 0),
+        lambda m: gen_planted_clique(10, 3, -1),
+    ], ids=["n-float", "seed-negative", "seed-float", "seed-str",
+            "spiked-p-float", "spiked-k-float", "spiked-seed-negative", "spiked-j-outside",
+            "clique-p-float", "clique-s-float", "clique-seed-negative"])
+    def test_rejected_as_invalid_input(self, call):
+        with pytest.raises(InvalidInput):
+            call(gen_toy(0.0))
+
+    def test_integer_valued_floats_are_stored_as_int(self):
+        batch = sample_gaussian(gen_toy(0.0), 10.0, 3.0)
+        assert (batch.n, batch.seed) == (10, 3) and type(batch.n) is int
+        npt.assert_array_equal(batch.X, sample_gaussian(gen_toy(0.0), 10, 3).X)
+        assert gen_spiked(10.0, 1, range(5), (2.0,), 1.0, 0.0).params["p"] == 10
 
 
 class SampleLike:
