@@ -1,4 +1,4 @@
-"""Shared primitives: the integer rule, matrix norms, support sets."""
+"""Shared primitives: the integer and real-number rules, matrix norms, support sets."""
 
 import math
 import numbers
@@ -9,7 +9,7 @@ import numpy as np
 from .errors import InvalidInput
 
 
-# ===== the one integer rule for counts, orders, sizes and seeds =====
+# ===== the argument rules: integers (counts, orders, sizes, seeds) and reals =====
 
 def _integer(name, value, least=1):
     # integer-valued floats (a config file's "2.0") are accepted and stored as int
@@ -17,6 +17,14 @@ def _integer(name, value, least=1):
             or not math.isfinite(value) or value != int(value) or value < least):
         raise InvalidInput(f"{name}={value!r} must be an integer >= {least}")
     return int(value)
+
+
+def _finite_real(name, value):
+    # the one rule for real-valued arguments: a finite number, stored as float
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise InvalidInput(f"{name}={value!r} must be a finite number")
+    return float(value)
 
 
 # ===== matrix norms used by the estimator's bounds =====

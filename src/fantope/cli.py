@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .base import _integer, as_support
+from .base import _finite_real, _integer, as_support
 from .errors import (InfeasibleConstraint, InvalidInput, NotConverged,
                      NumericalFailure, SearchFailure, SpsViolated)
 from .spectral import as_sym, eig_sym
@@ -69,13 +69,6 @@ _TOL_KEYS = ("support_tol", "eps", "max_iters", "admm_step", "sandwich_tol")
 _SCALAR_KEYS = _MODEL_KEYS + _TOL_KEYS + (
     "trials", "seed", "sigma_mult", "alpha", "output_path")
 _GRID_KEYS = ("grid_n", "grid_p", "grid_s", "grid_rho", "grid_r")
-
-
-def _finite_real(name, value):
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise InvalidInput(f"{name}={value!r} must be a finite number")
-    return float(value)
 
 
 def _nonneg_int(name, value):
@@ -536,9 +529,10 @@ def cmd_persist(config):
 
 def cmd_certify(sigma_csv, s_csv, k, j, rho, out=None):
     """Evaluate recovery conditions and the dual certificate; exit 0 iff both pass."""
-    sigma = load_matrix_csv(sigma_csv)
-    smat = load_matrix_csv(s_csv)
-    p = sigma.shape[0]
+    # wrapped once, so the conditions and the witness share Sigma's spectrum
+    sigma = as_sym(load_matrix_csv(sigma_csv))
+    smat = as_sym(load_matrix_csv(s_csv))
+    p = sigma.dim
     jset = as_support(j)
     if jset.size == 0 or max(jset.indices) >= p:
         raise InvalidInput(f"support {list(jset.indices)} out of range for p={p}")

@@ -14,10 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import SupportSet, _support_of, as_support, entry_max_norm, l11_norm, row_l2_max
+from .base import (SupportSet, _finite_real, _integer, _support_of, as_support,
+                   entry_max_norm, l11_norm, row_l2_max)
 from .errors import InvalidInput, SpsViolated
 from .solver import SolverConfig, solve_fps, solve_fps_constrained
-from .spectral import (FantopePoint, _check_order, _top_k, as_sym, eig_sym,
+from .spectral import (FantopePoint, SymMat, _check_order, _top_k, as_sym, eig_sym,
                        procrustes_align)
 
 
@@ -75,7 +76,7 @@ class WitnessReport:
 # ===== population spectrum =====
 
 class _Population(NamedTuple):
-    """What the recovery theory reads off one eigendecomposition of Sigma."""
+    """What the recovery theory reads off Sigma's one (retained) eigendecomposition."""
 
     gap: float           # lambda_k - lambda_{k+1}; +inf when k = p
     lam1: float          # lambda_1
@@ -85,7 +86,7 @@ class _Population(NamedTuple):
 
 def _population(sym, k):
     _check_order(k, sym.dim)
-    spec = eig_sym(sym)
+    spec = sym.spectrum
     pi, gap = _top_k(spec, k)
     return _Population(gap=gap, lam1=float(spec.eigenvalues[0]), pi=pi,
                        support=_support_of(np.diag(pi.entries)))
@@ -231,7 +232,7 @@ def check_recovery_conditions(sigma, s, k, j, rho):
     prob_sample_ok is None here; it belongs to the sampling-based check.
     """
     sym, smat = _pair(sigma, s)
-    if rho <= 0:
+    if _finite_real("rho", rho) <= 0:
         raise InvalidInput("recovery conditions are stated for rho > 0")
     rep, _ = _conditions(sym, k, as_support(j), rho, signed_floor=False)
     err = entry_max_norm(smat.entries - sym.entries)
@@ -250,9 +251,11 @@ def check_sample_conditions(sigma, k, j, n, sigma_scale, alpha):
     """
     sym = as_sym(sigma)
     p = sym.dim
-    if not (0 < alpha <= 1):
+    if not (0 < _finite_real("alpha", alpha) <= 1):
         raise InvalidInput(f"alpha={alpha} must be in (0, 1]")
-    if int(n) != n or n < 1 or n < np.log(p):
+    if _finite_real("sigma_scale", sigma_scale) <= 0:
+        raise InvalidInput(f"sigma_scale={sigma_scale} must be positive")
+    if _integer("n", n) < np.log(p):
         raise InvalidInput(f"sample size n={n} must be an integer >= log(p)")
     j = as_support(j)
     rate = np.sqrt(np.log(p) / n)
@@ -304,7 +307,7 @@ def build_witness(sigma, s, k, j, rho):
         below half the population eigengap.
     witness_valid requires all three.
     """
-    if rho <= 1e-12:
+    if _finite_real("rho", rho) <= 1e-12:
         raise InvalidInput("certificate construction divides by rho; need rho > 1e-12")
     sym, smat = _pair(sigma, s)
     p = sym.dim
@@ -391,8 +394,8 @@ def persistence_gap(sigma, s, k, r_level):
     emp_value, gap, bound).
     """
     sym, smat = _pair(sigma, s)
-    h_pop, _ = solve_fps_constrained(sym.entries, r_level, SolverConfig(k=k))
-    h_emp, _ = solve_fps_constrained(smat.entries, r_level, SolverConfig(k=k))
+    h_pop, _ = solve_fps_constrained(sym, r_level, SolverConfig(k=k))
+    h_emp, _ = solve_fps_constrained(smat, r_level, SolverConfig(k=k))
     pop_value = float(np.sum(sym.entries * h_pop.H.entries))
     emp_value = float(np.sum(sym.entries * h_emp.H.entries))
     bound = float(2.0 * r_level * entry_max_norm(smat.entries - sym.entries))
@@ -410,9 +413,10 @@ def stability_check(sigma, delta, k, r_level):
     dmat = as_sym(delta)
     if sym.dim != dmat.dim:
         raise InvalidInput("perturbation dimension differs from the matrix")
-    sol_a, _ = solve_fps_constrained(sym.entries, r_level, SolverConfig(k=k))
-    sol_b, _ = solve_fps_constrained(sym.entries + dmat.entries, r_level, SolverConfig(k=k))
+    moved = SymMat.from_array(sym.entries + dmat.entries)
+    sol_a, _ = solve_fps_constrained(sym, r_level, SolverConfig(k=k))
+    sol_b, _ = solve_fps_constrained(moved, r_level, SolverConfig(k=k))
     f_a = float(np.sum(sym.entries * sol_a.H.entries))
-    f_b = float(np.sum((sym.entries + dmat.entries) * sol_b.H.entries))
+    f_b = float(np.sum(moved.entries * sol_b.H.entries))
     bound = float(2.0 * r_level * entry_max_norm(dmat.entries))
     return abs(f_b - f_a), bound

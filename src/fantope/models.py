@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import SupportSet, _integer, _support_of, as_support, entry_max_norm
+from .base import SupportSet, _finite_real, _integer, _support_of, as_support, entry_max_norm
 from .errors import DegenerateModel, InvalidInput
-from .spectral import FantopePoint, SymMat, _top_k, as_sym, eig_sym
+from .spectral import FantopePoint, SymMat, _top_k, as_sym
 
 
 # ===== domain types =====
@@ -28,8 +28,9 @@ class ModelInstance:
     """A population covariance with known principal-subspace structure.
 
     root is the symmetric square root Sigma^{1/2} (eigenvalues clipped at
-    0), read off the same eigendecomposition as Pi; sample_gaussian
-    colours its draws with it.
+    0), read off the same eigendecomposition as Pi: Sigma's retained
+    spectrum, which every later check on Sigma reuses; sample_gaussian
+    colours its draws with root.
     """
 
     Sigma: SymMat
@@ -69,7 +70,7 @@ class SampleBatch:
 
 def _finish_instance(sigma, k, expect_support, params):
     sig = as_sym(sigma)
-    spec = eig_sym(sig)
+    spec = sig.spectrum
     pi, gap = _top_k(spec, k)
     if gap <= 0.0:
         raise DegenerateModel(f"population eigengap is {gap:.3e}")
@@ -97,7 +98,7 @@ def gen_toy(t):
     eigenvector for every |t| < 0.35, so the true support stays {0, 1}
     while t tunes how correlated the decoy is with the signal pair.
     """
-    t = float(t)
+    t = _finite_real("t", t)
     if not abs(t) < 0.35:
         raise InvalidInput(f"coupling t={t} outside (-0.35, 0.35)")
     sigma = np.array([
@@ -118,15 +119,16 @@ def gen_spiked(p, k, j, spike_values, noise, seed):
     """
     p, k, seed = _integer("p", p), _integer("k", k), _integer("seed", seed, least=0)
     j = as_support(j)
-    spikes = np.asarray(spike_values, dtype=float)
+    spikes = np.asarray(spike_values, dtype=object)
     if spikes.ndim != 1 or spikes.shape[0] != k:
         raise InvalidInput("need exactly k spike values")
+    spikes = np.array([_finite_real("spike_values", v) for v in spikes])
     if np.any(spikes <= 0) or np.any(np.diff(spikes) > 0):
         raise InvalidInput("spike values must be positive and non-increasing")
     if not (1 <= k <= j.size <= p) or j.indices[-1] >= p:
         raise InvalidInput(f"need 1 <= k <= |j| <= p and j in range(p), "
                            f"got k={k}, j={j.indices}, p={p}")
-    if noise <= 0:
+    if _finite_real("noise", noise) <= 0:
         raise InvalidInput("noise variance must be positive")
     rng = np.random.default_rng(seed)
     s = j.size

@@ -40,11 +40,15 @@ M_ref; with 4r > p the loop always takes the full eigh.  Every exit
 (converged, stalled or out of iterations) leaves from an exact
 projection: an iteration whose Ritz step meets a stopping rule is redone
 exactly, so H, its constraint residual and the KKT report certify the
-answer as an exact iteration would.  On the p=200 spiked bench samples a
-solve takes the same 40-43 iterations with 4 full eigh (a cold start,
-two Weyl refreshes and the exact finish) instead of one per iteration,
-and about 1.6 ms per iteration instead of 6.1 (numpy 2.4 with OpenBLAS at
-one thread on a 2-core x86_64 host).
+answer as an exact iteration would.  A cold start's first iterate,
+M0 = (k/p) I + S/step (or (S + step (k/p) I)/(tau + step)), has S's
+eigenvectors, so its exact projection reads the SymMat's retained
+spectrum, shifted and scaled, instead of decomposing M0.  On the p=200
+spiked bench samples a solve takes the same 40-43 iterations with 3 full
+eigh (two Weyl refreshes and the exact finish) once S's spectrum is known
+(the plug-in penalty reads it), instead of one per iteration, and about
+1.6 ms per iteration instead of 6.1 (numpy 2.4 with OpenBLAS at one
+thread on a 2-core x86_64 host).
 """
 
 import math
@@ -223,12 +227,16 @@ def _reference(m, gamma, v, g):
     return m, float(gamma[-r - 1]), v[:, -r:].copy()
 
 
-def _solve_raw(s, cfg, warm=None):
+def _solve_raw(sym, cfg, warm=None):
     """The one solve body: the splitting loop, then the solution read off its state.
 
-    warm is a trusted (H, Y, U) triple of p x p arrays.  Returns
-    (solution, (H, Y, U)); the final triple lets a later solve resume.
+    sym is the SymMat S; warm is a trusted (H, Y, U) triple of p x p arrays.
+    Without one, iteration 1 projects M0 = a S + b I (a > 0), whose
+    eigenpairs are S's retained spectrum shifted and scaled, so a cold start
+    takes no eigh of its own.  Returns (solution, (H, Y, U)); the final
+    triple lets a later solve resume.
     """
+    s = sym.entries
     p = s.shape[0]
     k, rho, tau, sigma = cfg.k, cfg.rho, cfg.tau_en, cfg.admm_step
     if k > p:
@@ -237,8 +245,16 @@ def _solve_raw(s, cfg, warm=None):
         h = (k / p) * np.eye(p)
         y = h.copy()
         u = np.zeros((p, p))
+        # the loop's m below at Y = (k/p) I, U = 0
+        if tau == 0.0:
+            a, b = 1.0 / sigma, k / p
+        else:
+            a, b = 1.0 / (tau + sigma), sigma * (k / p) / (tau + sigma)
+        gamma, v = sym.spectrum.ascending()
+        cold = (a * gamma + b, v)
     else:
         h, y, u = warm
+        cold = None
 
     s_step = s / sigma
     tol = cfg.eps * np.sqrt(p)
@@ -254,7 +270,8 @@ def _solve_raw(s, cfg, warm=None):
         # a Ritz step when one is tracked, else (or on refusal, or to exit) the full eigh
         for exact in (ref is None, True):
             if exact:
-                h, _, gamma, v, g = _project(m, k)
+                h, _, gamma, v, g = _project(m, k, cold)
+                cold = None
                 ref = _reference(m, gamma, v, g)
             else:
                 # Weyl: lambda_{r+1}(m) <= lambda_{r+1}(M_ref) + ||m - M_ref||_F
@@ -326,9 +343,9 @@ def solve_fps(s, config, warm=None):
     the partial solution) if the iteration budget runs out or progress
     stalls.
     """
-    sym = as_sym(s).entries
+    sym = as_sym(s)
     if warm is not None:
-        warm = _warm_triple(warm, sym.shape[0])
+        warm = _warm_triple(warm, sym.dim)
     sol, _ = _solve_raw(sym, config, warm)
     return sol
 
@@ -369,7 +386,7 @@ def solve_fps_constrained(s, r_level, config):
     stalled solve still steers the bisection (its H-block is feasible and
     its norm is recorded in the trace) but is never returned.
     """
-    sym = as_sym(s).entries
+    sym = as_sym(s)
     k = config.k
     if r_level < k:
         raise InfeasibleConstraint(
@@ -392,7 +409,7 @@ def solve_fps_constrained(s, r_level, config):
     trace = [(0.0, l11_norm(sol0.H.entries))]
     candidates = []
     lo = 0.0
-    rho = max(entry_max_norm(sym), 1e-12)
+    rho = max(entry_max_norm(sym.entries), 1e-12)
     hi = None
     for _ in range(_MAX_DOUBLINGS):
         sol, state, ok = attempt(rho, state)
@@ -431,7 +448,8 @@ def solve_fps_constrained(s, r_level, config):
             "converging; see the (rho, norm) trace",
             trace=trace,
         )
-    best_rho, best_sol = max(candidates, key=lambda c: float(np.sum(sym * c[1].H.entries)))
+    best_rho, best_sol = max(candidates,
+                             key=lambda c: float(np.sum(sym.entries * c[1].H.entries)))
     return best_sol, float(best_rho)
 
 
@@ -474,8 +492,8 @@ def uniqueness_probe(s, config, solution=None):
     A handed `solution` whose order k or dimension differs from the
     problem's raises InvalidInput; it is returned as the first route.
     """
-    sym = as_sym(s).entries
-    p = sym.shape[0]
+    sym = as_sym(s)
+    p = sym.dim
     if solution is None:
         sol = solve_fps(sym, config.with_(tau_en=0.0))
     elif solution.H.k != config.k or solution.H.dim != p:

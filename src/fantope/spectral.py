@@ -11,6 +11,7 @@ clipping to [0, 1].
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,12 @@ from .errors import InvalidInput, NumericalFailure
 
 @dataclass(frozen=True)
 class SymMat:
-    """A dense symmetric matrix; construction symmetrizes and records the asymmetry."""
+    """A dense symmetric matrix; construction symmetrizes and records the asymmetry.
+
+    spectrum is its one eigendecomposition, taken on first read and
+    retained while the SymMat lives; entries are read-only, so it cannot go
+    stale.  Pass the SymMat itself, not its entries, to share it.
+    """
 
     entries: np.ndarray
     asym_residual: float = 0.0
@@ -38,6 +44,15 @@ class SymMat:
     @property
     def dim(self):
         return self.entries.shape[0]
+
+    @cached_property
+    def spectrum(self):
+        """The descending Spectrum of entries, from one eigh."""
+        try:
+            w, v = np.linalg.eigh(self.entries)
+        except np.linalg.LinAlgError as e:
+            raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+        return _descending(w, v)
 
 
 def as_sym(a):
@@ -59,6 +74,10 @@ class Spectrum:
     def reconstruct(self):
         v, w = self.eigenvectors, self.eigenvalues
         return (v * w) @ v.T
+
+    def ascending(self):
+        """(eigenvalues, eigenvectors) in eigh's ascending order, as views."""
+        return self.eigenvalues[::-1], self.eigenvectors[:, ::-1]
 
 
 # how far a validated Fantope point's eigenvalues may leave [0, 1], and its
@@ -135,13 +154,12 @@ def _descending(w, v):
 
 
 def eig_sym(a):
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    s = as_sym(a)
-    try:
-        w, v = np.linalg.eigh(s.entries)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
-    return _descending(w, v)
+    """Full eigendecomposition of a symmetric matrix, eigenvalues descending.
+
+    A SymMat's is its retained spectrum: taken once, then shared by every
+    later call; a raw array is wrapped and decomposed afresh.
+    """
+    return as_sym(a).spectrum
 
 
 def _water_fill(gamma, k):
@@ -193,18 +211,23 @@ def _rebuild(v, g):
     return 0.5 * (h + h.T)
 
 
-def _project(m, k):
+def _project(m, k, eig=None):
     """Fantope projection of a symmetric array, on raw arrays and unvalidated.
 
+    eig is the ascending (gamma, v) of m when the caller already holds them
+    (a SymMat's retained spectrum, or one shifted and scaled from it); else
+    m is decomposed here with one eigh.
     Returns (h, theta, gamma, v, g): the projection, the water level, the
     ascending eigenvalues and eigenvectors of m, and the clipped eigenvalues
     g = clip(gamma - theta, 0, 1).  This is the solver's exact projection
     and the one full-spectrum path; fantope_project wraps it.
     """
-    try:
-        gamma, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+    if eig is None:
+        try:
+            eig = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as e:
+            raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+    gamma, v = eig
     theta, g = _water_fill(gamma, k)
     return _rebuild(v, g), theta, gamma, v, g
 
@@ -258,20 +281,19 @@ def _projected_point(h, k, g):
 def fantope_project(a, k):
     """Euclidean projection of a symmetric matrix onto the trace-k Fantope.
 
-    Diagonalizes the input and water-fills the spectrum: the projection is
-    sum_j clip(gamma_j - theta, 0, 1) v_j v_j^T with theta chosen so the
-    clipped eigenvalues sum to k.
+    Water-fills the input's spectrum (a SymMat's retained one): the
+    projection is sum_j clip(gamma_j - theta, 0, 1) v_j v_j^T with theta
+    chosen so the clipped eigenvalues sum to k.
 
     Returns a FantopeProjectionResult; its point carries the constraint
     residual certified from the constructed spectrum.
     """
     s = as_sym(a)
     _check_order(k, s.dim)
-    ent, theta, gamma, v, g = _project(s.entries, int(k))
+    ent, theta, _, _, g = _project(s.entries, int(k), s.spectrum.ascending())
     # g is non-decreasing along the ascending spectrum, so reversing sorts it
     return FantopeProjectionResult(
-        point=_projected_point(ent, int(k), g), theta=theta,
-        spectrum=_descending(gamma, v),
+        point=_projected_point(ent, int(k), g), theta=theta, spectrum=s.spectrum,
         gamma_plus=np.ascontiguousarray(g[::-1]),
     )
 
@@ -286,7 +308,7 @@ def top_k_projector(a, k):
     """
     s = as_sym(a)
     _check_order(k, s.dim)
-    return _top_k(eig_sym(s), k)
+    return _top_k(s.spectrum, k)
 
 
 def _top_k(spec, k):

@@ -20,6 +20,7 @@ from fantope.cli import (
 from fantope.errors import InvalidInput
 from fantope.models import gen_toy, load_matrix_csv, save_matrix_csv
 from fantope.spectral import top_k_projector
+from test_solver import count_linalg
 
 
 @pytest.fixture
@@ -408,6 +409,13 @@ class TestCertifyCmd:
                            1, (0, 1), 0.002) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["clauses"]["error_correlation_budget"] is False
+
+    def test_one_eigh_of_sigma(self, toy_csv, monkeypatch, capsys):
+        # S enters only through its support block, so every 3x3 eigh is
+        # Sigma's: the conditions and the witness share it
+        calls = count_linalg(monkeypatch, "eigh")
+        assert cmd_certify(toy_csv, toy_csv, 1, (0, 1), 0.002) == 0
+        assert calls.count((3, 3)) == 1
 
     def test_out_of_range_support(self, toy_csv, capsys):
         assert main(["certify", toy_csv, toy_csv,

@@ -23,6 +23,7 @@ from fantope.models import gen_spiked, gen_toy, sample_covariance, sample_gaussi
 from fantope.solver import SolverConfig, solve_fps
 from fantope.spectral import FantopePoint, top_k_projector
 from oracles import random_feasible_point, sign_rank_one_bruteforce
+from test_solver import count_linalg
 
 TOY = gen_toy(0.0).Sigma.entries
 
@@ -220,6 +221,29 @@ class TestSampleConditions:
             check_sample_conditions(m.Sigma, 1, m.J, 100, 1.0, 1.5)
 
 
+class TestRealArguments:
+    M = gen_spiked(50, 1, (0, 1), (2.0,), 1.0, seed=4)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: check_sample_conditions(m.Sigma, 1, m.J, "a", 1.0, 1.0),
+        lambda m: check_sample_conditions(m.Sigma, 1, m.J, np.nan, 1.0, 1.0),
+        lambda m: check_sample_conditions(m.Sigma, 1, m.J, np.inf, 1.0, 1.0),
+        lambda m: check_sample_conditions(m.Sigma, 1, m.J, None, 1.0, 1.0),
+        lambda m: check_sample_conditions(m.Sigma, 1, m.J, 100, 1.0, "a"),
+        lambda m: check_sample_conditions(m.Sigma, 1, m.J, 100, np.nan, 1.0),
+        lambda m: check_sample_conditions(m.Sigma, 1, m.J, 100, -1.0, 1.0),
+        lambda m: check_recovery_conditions(m.Sigma, m.Sigma, 1, m.J, np.nan),
+        lambda m: check_recovery_conditions(m.Sigma, m.Sigma, 1, m.J, "a"),
+        lambda m: build_witness(m.Sigma, m.Sigma, 1, m.J, np.nan),
+        lambda m: build_witness(m.Sigma, m.Sigma, 1, m.J, "a"),
+    ], ids=["n-str", "n-nan", "n-inf", "n-none", "alpha-str", "sigma_scale-nan",
+            "sigma_scale-negative", "recovery-rho-nan", "recovery-rho-str",
+            "witness-rho-nan", "witness-rho-str"])
+    def test_rejected_as_invalid_input(self, call):
+        with pytest.raises(InvalidInput):
+            call(self.M)
+
+
 class TestOnePopulationSpectrum:
     @staticmethod
     def spiked_pair():
@@ -227,22 +251,28 @@ class TestOnePopulationSpectrum:
         return m, sample_covariance(sample_gaussian(m, 2000, seed=4)).entries
 
     @pytest.mark.parametrize("check", [
-        lambda m, s, sol: check_recovery_conditions(m.Sigma, s, 2, m.J, 0.1),
-        lambda m, s, sol: check_sample_conditions(m.Sigma, 2, m.J, 2000, 3.0, 0.5),
-        lambda m, s, sol: frobenius_bound_check(m.Sigma, s, 2, m.J, 0.1, sol),
+        lambda sigma, m, s, sol: check_recovery_conditions(sigma, s, 2, m.J, 0.1),
+        lambda sigma, m, s, sol: check_sample_conditions(sigma, 2, m.J, 2000, 3.0, 0.5),
+        lambda sigma, m, s, sol: frobenius_bound_check(sigma, s, 2, m.J, 0.1, sol),
     ], ids=["recovery", "sample", "frobenius"])
     def test_one_eigendecomposition_of_sigma(self, monkeypatch, check):
         m, s = self.spiked_pair()
         sol = solve_fps(s, SolverConfig(k=2, rho=0.1))
-        real, calls = np.linalg.eigh, []
-
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        check(m, s, sol)
+        calls = count_linalg(monkeypatch, "eigh")
+        # a raw copy of Sigma is decomposed once per check
+        check(m.Sigma.entries.copy(), m, s, sol)
         assert calls.count((30, 30)) == 1
+        # the model's SymMat carries the spectrum its generator took
+        check(m.Sigma, m, s, sol)
+        assert calls.count((30, 30)) == 1
+
+    @pytest.mark.parametrize("check", [check_recovery_conditions, build_witness],
+                             ids=["recovery", "witness"])
+    def test_model_sigma_takes_no_eigh(self, monkeypatch, check):
+        m, s = self.spiked_pair()
+        calls = count_linalg(monkeypatch, "eigh")
+        check(m.Sigma, s, 2, m.J, 0.1)
+        assert calls.count((30, 30)) == 0
 
     def test_reports_are_permutation_invariant(self):
         m, s = self.spiked_pair()

@@ -251,6 +251,21 @@ class TestIntegerArguments:
         assert gen_spiked(10.0, 1, range(5), (2.0,), 1.0, 0.0).params["p"] == 10
 
 
+class TestRealArguments:
+    @pytest.mark.parametrize("call", [
+        lambda: gen_toy("a"),
+        lambda: gen_toy(np.nan),
+        lambda: gen_spiked(10, 1, range(5), (2.0,), "x", 0),
+        lambda: gen_spiked(10, 1, range(5), (2.0,), np.inf, 0),
+        lambda: gen_spiked(10, 1, range(5), ("a",), 1.0, 0),
+        lambda: gen_spiked(10, 1, range(5), (np.nan,), 1.0, 0),
+    ], ids=["toy-t-str", "toy-t-nan", "spiked-noise-str", "spiked-noise-inf",
+            "spiked-spike-str", "spiked-spike-nan"])
+    def test_rejected_as_invalid_input(self, call):
+        with pytest.raises(InvalidInput):
+            call()
+
+
 class SampleLike:
     def __init__(self, x):
         self.X = x

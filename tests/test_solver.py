@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import fantope.solver
-from fantope.diagnostics import check_lcc
+from fantope.diagnostics import check_lcc, persistence_gap
 from fantope.errors import (
     GapCollapsed,
     InfeasibleConstraint,
@@ -31,7 +31,7 @@ from fantope.solver import (
     solve_fps_constrained,
     uniqueness_probe,
 )
-from fantope.spectral import FantopePoint, eig_sym, top_k_projector
+from fantope.spectral import FantopePoint, as_sym, eig_sym, top_k_projector
 from oracles import grid_solve_2x2, penalized_objective, random_feasible_point
 
 TOY = gen_toy(0.0).Sigma.entries
@@ -322,8 +322,8 @@ class TestRitzStep:
         s, cfg = spiked_case()
         real, outputs = fantope.solver._project, []
 
-        def recording(m, k):
-            out = real(m, k)
+        def recording(m, k, eig=None):
+            out = real(m, k, eig)
             outputs.append(out[0])
             return out
 
@@ -335,6 +335,81 @@ class TestRitzStep:
         assert sol.H.entries is outputs[-1]
         assert len(outputs) < sol.iters
         TestSolutionFromLastProjection.assert_certified(sol)
+
+
+class TestColdStartFromSpectrum:
+    """A cold solve projects its first iterate from S's retained spectrum."""
+
+    @staticmethod
+    def eigh_of_m(s, cfg):
+        # the cold state handed in as a warm start: iteration 1 decomposes M0 itself
+        p, k = s.shape[0], cfg.k
+        h = (k / p) * np.eye(p)
+        return solve_fps(s, cfg, warm=(h, h, np.zeros((p, p))))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_known_spectrum_saves_one_eigh(self, monkeypatch, tau):
+        s, cfg = bench_case()
+        cfg = cfg.with_(tau_en=tau)
+        sym = as_sym(s)
+        sym.spectrum
+        calls = count_linalg(monkeypatch, "eigh")
+        raw = solve_fps(s.copy(), cfg)
+        n_raw = calls.count(s.shape)
+        shared = solve_fps(sym, cfg)
+        assert calls.count(s.shape) - n_raw == n_raw - 1
+        monkeypatch.undo()
+        for sol in (shared, self.eigh_of_m(s, cfg)):
+            assert sol.iters == raw.iters
+            assert sol.support == raw.support
+            assert np.linalg.norm(sol.H.entries - raw.H.entries) <= 1e-12
+
+    @pytest.mark.parametrize("ritz", [True, False], ids=["ritz", "full-eigh"])
+    @pytest.mark.parametrize("case", [toy_case, spiked_case], ids=["toy", "spiked50"])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 2.0])
+    def test_same_solve_as_decomposing_m(self, monkeypatch, case, tau, ritz):
+        s, cfg = case()
+        cfg = cfg.with_(tau_en=tau)
+        if not ritz:
+            full_eigh_only(monkeypatch)
+        sol, ref = solve_fps(as_sym(s), cfg), self.eigh_of_m(s, cfg)
+        assert (sol.iters, sol.support) == (ref.iters, ref.support)
+        # the Ritz block's trailing vectors lie in S's near-degenerate noise
+        # cluster, so the two decompositions pick different ones; a Ritz step
+        # is exact only up to its certified residual (5e-10 here at tau=0.5)
+        tol = 1e-8 if ritz else 1e-12
+        assert np.linalg.norm(sol.H.entries - ref.H.entries) <= tol
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_same_not_converged(self, tau):
+        s, cfg = spiked_case()
+        cfg = cfg.with_(tau_en=tau, max_iters=3)
+        partial = []
+        for solve in (lambda: solve_fps(as_sym(s), cfg), lambda: self.eigh_of_m(s, cfg)):
+            with pytest.raises(NotConverged) as exc:
+                solve()
+            partial.append(exc.value.solution)
+        assert partial[0].iters == partial[1].iters == 3
+        assert np.linalg.norm(partial[0].H.entries - partial[1].H.entries) <= 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda sym, cfg: uniqueness_probe(sym, cfg),
+        lambda sym, cfg: solve_fps_constrained(sym, 1.5, cfg.with_(rho=0.0)),
+        lambda sym, cfg: persistence_gap(sym, sym, 1, 1.5),
+    ], ids=["probe", "constrained", "persistence"])
+    def test_entries_keep_their_symmat(self, monkeypatch, call):
+        # every inner solve reads the caller's SymMat, so one spectrum serves all
+        s, cfg = toy_case()
+        sym = as_sym(s)
+        real, seen = fantope.solver._solve_raw, []
+
+        def recording(sym_in, *args, **kwargs):
+            seen.append(sym_in)
+            return real(sym_in, *args, **kwargs)
+
+        monkeypatch.setattr(fantope.solver, "_solve_raw", recording)
+        call(sym, cfg)
+        assert len(seen) >= 2 and all(x is sym for x in seen)
 
 
 class TestDualRecovery:

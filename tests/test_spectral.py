@@ -17,6 +17,7 @@ from fantope.spectral import (
     top_k_projector,
 )
 from oracles import random_feasible_point, waterfill_theta_bisect, waterfill_theta_breakpoints
+from test_solver import count_linalg
 
 RT2 = np.sqrt(2.0)
 
@@ -42,6 +43,21 @@ class TestSymMat:
     def test_as_sym_passthrough(self):
         m = SymMat.from_array(np.eye(3))
         assert as_sym(m) is m
+
+    def test_one_spectrum_per_matrix(self, monkeypatch):
+        a = rand_sym(np.random.default_rng(6), 8)
+        m = SymMat.from_array(a)
+        calls = count_linalg(monkeypatch, "eigh")
+        assert eig_sym(m) is eig_sym(m) is m.spectrum
+        assert calls == [(8, 8)]
+        # the projections read the retained spectrum, and agree with a raw array's
+        res, (pi, _) = fantope_project(m, 3), top_k_projector(m, 3)
+        assert res.spectrum is m.spectrum
+        assert calls == [(8, 8)]
+        npt.assert_allclose(res.point.entries, fantope_project(a, 3).point.entries,
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(pi.entries, top_k_projector(a, 3)[0].entries, rtol=0, atol=1e-12)
+        assert calls == [(8, 8)] * 3  # a raw array is decomposed afresh
 
 
 class TestEigSym:
