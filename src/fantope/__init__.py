@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .base import SupportSet, as_support
 from .errors import (InvalidInput, NumericalFailure, NotConverged,
-                     InfeasibleConstraint, SearchFailure, GapCollapsed,
-                     SpsViolated, DegenerateModel)
+                     InfeasibleConstraint, GapCollapsed, SpsViolated,
+                     DegenerateModel)
 from .spectral import (SymMat, Spectrum, FantopePoint, FantopeProjectionResult,
                        as_sym, eig_sym, fantope_project, top_k_projector,
                        procrustes_align)
@@ -33,8 +33,7 @@ __all__ = [
     "__version__",
     "SupportSet", "as_support",
     "InvalidInput", "NumericalFailure", "NotConverged",
-    "InfeasibleConstraint", "SearchFailure", "GapCollapsed", "SpsViolated",
-    "DegenerateModel",
+    "InfeasibleConstraint", "GapCollapsed", "SpsViolated", "DegenerateModel",
     "SymMat", "Spectrum", "FantopePoint", "FantopeProjectionResult",
     "as_sym", "eig_sym", "fantope_project", "top_k_projector",
     "procrustes_align",

@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .base import _finite_real, _integer, as_support
 from .errors import (InfeasibleConstraint, InvalidInput, NotConverged,
-                     NumericalFailure, SearchFailure, SpsViolated)
+                     NumericalFailure, SpsViolated)
 from .spectral import as_sym, eig_sym
 from .solver import SolverConfig, solve_fps, solve_fps_constrained
 from .models import (gen_planted_clique, gen_spiked, gen_toy, load_matrix_csv,
@@ -271,8 +271,8 @@ def _write_outputs(out_csv, records, summary):
 
 
 # typed errors that fail one trial: recorded in its row, never fatal
-_TRIAL_ERRORS = (InvalidInput, SpsViolated, NotConverged, SearchFailure,
-                 NumericalFailure, InfeasibleConstraint)
+_TRIAL_ERRORS = (InvalidInput, SpsViolated, NotConverged, NumericalFailure,
+                 InfeasibleConstraint)
 
 
 @contextmanager
@@ -635,7 +635,7 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidInput, OSError, NotConverged, SearchFailure, NumericalFailure,
+    except (InvalidInput, OSError, NotConverged, NumericalFailure,
             InfeasibleConstraint) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, (InvalidInput, OSError)) else 2

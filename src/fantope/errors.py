@@ -24,14 +24,6 @@ class InfeasibleConstraint(ValueError):
     """A constraint level that no feasible point can satisfy (e.g. R < k)."""
 
 
-class SearchFailure(RuntimeError):
-    """A parameter search failed to bracket its target; carries the trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = tuple(trace or ())
-
-
 class GapCollapsed(RuntimeError):
     """An eigenvalue gap required by a procedure is zero or negative."""
 

@@ -392,12 +392,12 @@ class TestColdStartFromSpectrum:
         assert partial[0].iters == partial[1].iters == 3
         assert np.linalg.norm(partial[0].H.entries - partial[1].H.entries) <= 1e-12
 
-    @pytest.mark.parametrize("call", [
-        lambda sym, cfg: uniqueness_probe(sym, cfg),
-        lambda sym, cfg: solve_fps_constrained(sym, 1.5, cfg.with_(rho=0.0)),
-        lambda sym, cfg: persistence_gap(sym, sym, 1, 1.5),
+    @pytest.mark.parametrize("call, solves", [
+        (lambda sym, cfg: uniqueness_probe(sym, cfg), 2),
+        (lambda sym, cfg: solve_fps_constrained(sym, 1.5, cfg.with_(rho=0.0)), 1),
+        (lambda sym, cfg: persistence_gap(sym, sym, 1, 1.5), 2),
     ], ids=["probe", "constrained", "persistence"])
-    def test_entries_keep_their_symmat(self, monkeypatch, call):
+    def test_entries_keep_their_symmat(self, monkeypatch, call, solves):
         # every inner solve reads the caller's SymMat, so one spectrum serves all
         s, cfg = toy_case()
         sym = as_sym(s)
@@ -409,7 +409,7 @@ class TestColdStartFromSpectrum:
 
         monkeypatch.setattr(fantope.solver, "_solve_raw", recording)
         call(sym, cfg)
-        assert len(seen) >= 2 and all(x is sym for x in seen)
+        assert len(seen) == solves and all(x is sym for x in seen)
 
 
 class TestDualRecovery:
@@ -520,24 +520,47 @@ class TestConstrainedSolve:
         assert rho_star == 0.0
         assert l11_norm(sol.H.entries) <= 5.0
 
-    def test_active_constraint_meets_budget(self):
-        # the penalty path jumps straight from norm 2 to norm 1 here, so the
-        # search lands past the crossover; only the budget bound is promised
-        sol, rho_star = solve_fps_constrained(TOY, 1.5, SolverConfig(k=1))
-        assert rho_star > 0.0
-        assert l11_norm(sol.H.entries) <= 1.5 * (1 + 1e-3)
-        assert sol.support.indices == (2,)
+    @pytest.mark.parametrize("r", [1.0, 1.2, 1.5, 1.8, 2.0, 3.0])
+    def test_toy_reaches_the_budget_optimum(self, r):
+        # the optimum is min(1.7, 0.7 R + 0.3), at (R - 1) Pi + (2 - R) e3 e3^T
+        # for R in [1, 2], where ||Pi||_1,1 = 2 and the decoy e3 has norm 1
+        sol, _ = solve_fps_constrained(TOY, r, SolverConfig(k=1))
+        assert abs(float(np.sum(TOY * sol.H.entries)) - min(1.7, 0.7 * r + 0.3)) <= 1e-6
+        assert l11_norm(sol.H.entries) <= r + 1e-6
+        if r == 1.5:
+            assert sol.support.indices == (0, 1, 2)
 
     def test_infeasible_level(self):
         with pytest.raises(InfeasibleConstraint):
             solve_fps_constrained(TOY, 0.5, SolverConfig(k=1))
 
-    def test_value_monotone_in_r(self):
-        vals = []
-        for r in (1.0, 1.5, 2.0, 3.0):
-            sol, _ = solve_fps_constrained(TOY, r, SolverConfig(k=1))
-            vals.append(float(np.sum(TOY * sol.H.entries)))
-        assert all(a <= b + 1e-6 for a, b in zip(vals, vals[1:]))
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), -float("inf"), True, "2"])
+    def test_malformed_level_rejected(self, r):
+        with pytest.raises(InvalidInput):
+            solve_fps_constrained(TOY, r, SolverConfig(k=1))
+
+    @pytest.mark.parametrize("case", [
+        lambda: (TOY, 1.5),
+        lambda: (gen_spiked(50, 1, range(5), (2.0,), 1.0, 8).Sigma, 2.0),
+    ], ids=["toy", "gate8-population"])
+    def test_kkt_at_rho_star(self, case):
+        # the budget solve is the penalized solve at rho*, and says so
+        s, r = case()
+        sol, rho_star = solve_fps_constrained(s, r, SolverConfig(k=1))
+        assert rho_star > 0.0
+        rep = check_kkt(s, sol, rho_star)
+        assert rep == sol.kkt
+        assert rep.sign_mismatch <= 1e-4
+        assert rep.dual_bound_violation <= 1e-6
+        assert rep.fantope_optimality_gap <= 1e-4 * (1.0 + abs(sol.objective))
+
+    def test_step_scaled_by_the_spectral_norm(self):
+        # started at step ||S||_2 this resample takes 519 iterations; started
+        # at step 1 it takes 3965
+        model = gen_spiked(50, 1, range(5), (2.0,), 1.0, 8)
+        s = sample_covariance(sample_gaussian(model, 2000, 930))
+        sol, _ = solve_fps_constrained(s, 2.0, SolverConfig(k=1, max_iters=2000))
+        assert sol.iters <= 2000
 
 
 class TestUniquenessProbe:
