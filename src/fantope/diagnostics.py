@@ -85,7 +85,7 @@ class _Population(NamedTuple):
 
 
 def _population(sym, k):
-    _check_order(k, sym.dim)
+    k = _check_order(k, sym.dim)
     spec = sym.spectrum
     pi, gap = _top_k(spec, k)
     return _Population(gap=gap, lam1=float(spec.eigenvalues[0]), pi=pi,
@@ -190,13 +190,22 @@ def l11_row_bound(point):
 
 # ===== recovery condition checks =====
 
+def _carried(j, k):
+    """j as a SupportSet; InvalidInput when it is too small to carry a rank-k projector."""
+    j = as_support(j)
+    if len(j) < k:
+        raise InvalidInput(f"support of size {len(j)} cannot carry a rank-{k} projector")
+    return j
+
+
 def _conditions(sym, k, j, rho, signed_floor):
     """The condition report fields both checks share, from one spectrum.
 
     Returns (report, population); det_cond1_lhs and prob_sample_ok are left
-    None for the caller to fill.
+    None for the caller to fill.  A support smaller than k raises InvalidInput.
     """
     pop = _gapped(sym, k)
+    j = _carried(j, k)
     card = len(j)
     jj = j.as_array()
     lcc_lhs, lcc_alpha = _lcc(sym, j, pop.gap)
@@ -297,7 +306,7 @@ def build_witness(sigma, s, k, j, rho):
     Solves the support-restricted problem on S[J, J], recovers that
     subproblem's dual, aligns the empirical and population eigenbases on
     the support (leading and trailing blocks separately) to form the
-    rotation Q, and fills the off-support dual blocks in closed form:
+    rotation Q, and computes the off-support dual blocks in closed form:
     cross block (S_ij - <Q_i, Sigma_J j>) / rho, complement block
     (S - Sigma)_ij / rho.  The report records how far the construction
     is from certifying optimality:
@@ -311,10 +320,8 @@ def build_witness(sigma, s, k, j, rho):
         raise InvalidInput("certificate construction divides by rho; need rho > 1e-12")
     sym, smat = _pair(sigma, s)
     p = sym.dim
-    j = as_support(j)
+    j = _carried(j, k)
     card = len(j)
-    if card < k:
-        raise InvalidInput(f"support of size {card} cannot carry a rank-{k} projector")
     jj = j.as_array()
     jc = j.complement(p).as_array()
 
@@ -343,15 +350,10 @@ def build_witness(sigma, s, k, j, rho):
     q_bound = float(8.0 * rho * card / gap)
 
     wmat = smat.entries - sym.entries
-    z = np.zeros((p, p))
-    z[np.ix_(jj, jj)] = z_sub
     if jc.size:
         cross = (smat.entries[np.ix_(jj, jc)] - q @ sym.entries[np.ix_(jj, jc)]) / rho
-        z[np.ix_(jj, jc)] = cross
-        z[np.ix_(jc, jj)] = cross.T
         comp = wmat[np.ix_(jc, jc)] / rho
         np.fill_diagonal(comp, 0.0)
-        z[np.ix_(jc, jc)] = comp
         offsupport_max = max(
             float(np.max(np.abs(cross))),
             float(np.max(np.abs(comp))) if jc.size > 1 else 0.0,

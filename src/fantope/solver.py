@@ -7,11 +7,14 @@ solves both) by operator splitting: an H-block that stays exactly feasible
 sparse (entrywise soft-threshold), and a scaled multiplier U gluing them
 together.  At a fixed point (step/rho) * U is a subgradient of the l1
 term, which is what makes the dual certificate recoverable from the
-multiplier for free.
+multiplier for free.  Every form takes the same step (scaled ADMM, Boyd et
+al. 2011, section 3.1.1): the H-block projects
+M = (step/(tau + step)) (Y - U) + S/(tau + step), and the Y-block
+soft-thresholds H + U at a level, rho/step for the penalized forms.
 
 The budget form, max <S, H> subject to ||H||_1,1 <= R, runs the same loop
-with the Y-block projecting onto the l1 ball of radius R: a soft-threshold
-at a level read off the sorted magnitudes (Duchi et al., ICML 2008).  At a
+with the Y-block projecting onto the l1 ball of radius R: the soft-threshold
+at the level read off the sorted magnitudes (Duchi et al., ICML 2008).  At a
 fixed point U = level * sign(H) on the support, so the answer is the
 penalized one at rho* = step * level.  Its maximizer is unchanged when S
 is rescaled, so the loop starts at step admm_step * ||S||_2, the iteration
@@ -57,7 +60,7 @@ M_ref; with 4r > p the loop always takes the full eigh.  Every exit
 projection: an iteration whose Ritz step meets a stopping rule is redone
 exactly, so H, its constraint residual and the KKT report certify the
 answer as an exact iteration would.  A cold start's first iterate,
-M0 = (k/p) I + S/step (or (S + step (k/p) I)/(tau + step)), has S's
+M0 = (S + step (k/p) I)/(tau + step), has S's
 eigenvectors, so its exact projection reads the SymMat's retained
 spectrum, shifted and scaled, instead of decomposing M0.  On the p=200
 spiked bench samples a solve takes the same 40-43 iterations with 3 full
@@ -67,15 +70,14 @@ eigh (two Weyl refreshes and the exact finish) once S's spectrum is known
 thread on a 2-core x86_64 host).
 """
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .base import SupportSet, _finite_real, _integer, entry_max_norm
 from .errors import GapCollapsed, InfeasibleConstraint, InvalidInput, NotConverged
-from .spectral import FantopePoint, _project, _projected_point, _ritz_project, as_sym
+from .spectral import (FantopePoint, _check_order, _project, _projected_point, _ritz_project,
+                       as_sym)
 
 
 # ===== configuration and result types =====
@@ -98,9 +100,8 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "k", _integer("k", self.k))
         object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters))
-        reals = (self.rho, self.tau_en, self.admm_step, self.eps, self.support_tol)
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in reals):
-            raise InvalidInput("rho, tau_en, admm_step and the tolerances must be finite numbers")
+        for name in ("rho", "tau_en", "admm_step", "eps", "support_tol"):
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
         if self.rho < 0 or self.tau_en < 0:
             raise InvalidInput("rho and tau_en must be non-negative")
         if min(self.admm_step, self.eps, self.support_tol) <= 0:
@@ -170,22 +171,20 @@ def soft_threshold(a, level):
     return a - np.clip(a, -level, level)
 
 
-def _l1_ball(a, radius):
-    """Euclidean projection of a onto {||X||_1,1 <= radius}, and its level.
+def _l1_level(a, radius):
+    """The soft-threshold level that projects a onto {||X||_1,1 <= radius}.
 
-    Inside the ball a is its own projection (level 0); outside, the
-    projection is soft_threshold(a, level) with level the one threshold that
-    leaves l1 norm radius, read off the sorted magnitudes (Duchi et al., ICML
-    2008).  radius must be positive.
+    0 inside the ball, where a is its own projection; outside, the one level
+    whose soft-threshold leaves l1 norm radius, read off the sorted
+    magnitudes (Duchi et al., ICML 2008).  radius must be positive.
     """
     mags = np.abs(a).ravel()
     if mags.sum() <= radius:
-        return a, 0.0
+        return 0.0
     desc = np.sort(mags)[::-1]
     excess = np.cumsum(desc) - radius
     j = int(np.nonzero(desc * np.arange(1, desc.size + 1) > excess)[0][-1])
-    level = float(excess[j] / (j + 1))
-    return soft_threshold(a, level), level
+    return float(excess[j] / (j + 1))
 
 
 # ===== core splitting loop =====
@@ -263,45 +262,39 @@ def _solve_raw(sym, cfg, warm=None, budget=None):
     """The one solve body: the splitting loop, then the solution read off its state.
 
     sym is the SymMat S; warm is a trusted (H, Y, U) triple of p x p arrays.
-    Without one, iteration 1 projects M0 = a S + b I (a > 0), whose
-    eigenpairs are S's retained spectrum shifted and scaled, so a cold start
-    takes no eigh of its own.  With a budget R the Y-step projects onto the
-    l1 ball of radius R in place of the soft-threshold at rho/step, the step
-    is balanced, and rho* = step * (the last level) stands in for cfg.rho in
-    Z, the objective and the KKT report.  Returns (solution, the penalty it
-    was read at).
+    Without one, iteration 1 projects M0 = (S + step (k/p) I)/(tau + step),
+    whose eigenpairs are S's retained spectrum shifted and scaled, so a cold
+    start takes no eigh of its own.  Every iteration takes the one step of
+    the module docstring; the forms differ only in the soft-threshold level.
+    It is rho/step without a budget; with a budget R it is the level that
+    projects onto the l1 ball of radius R, the step is balanced, and
+    rho* = step * (the last level) stands in for cfg.rho in Z, the objective
+    and the KKT report.  Returns (solution, the penalty it was read at).
     """
     s = sym.entries
     p = s.shape[0]
-    k, rho, tau, sigma = cfg.k, cfg.rho, cfg.tau_en, cfg.admm_step
-    if k > p:
-        raise InvalidInput(f"k={k} exceeds dimension p={p}")
+    k, rho, tau, sigma = _check_order(cfg.k, p), cfg.rho, cfg.tau_en, cfg.admm_step
+    # the H-step's input is shrink * (Y - U) + s_scaled for every tau >= 0
+    shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
     if warm is None:
         h = (k / p) * np.eye(p)
         y = h.copy()
         u = np.zeros((p, p))
         # the loop's m below at Y = (k/p) I, U = 0
-        if tau == 0.0:
-            a, b = 1.0 / sigma, k / p
-        else:
-            a, b = 1.0 / (tau + sigma), sigma * (k / p) / (tau + sigma)
         gamma, v = sym.spectrum.ascending()
-        cold = (a * gamma + b, v)
+        cold = ((1.0 / (tau + sigma)) * gamma + shrink * (k / p), v)
     else:
         h, y, u = warm
         cold = None
 
-    s_step = s / sigma
     tol = cfg.eps * np.sqrt(p)
-    r_ps = np.empty(cfg.max_iters)
-    r_ds = np.empty(cfg.max_iters)
     window = 1000
+    hist = np.empty(window)  # max(r_p, r_d) of the last window iterations, cyclic
     ref = None  # (M_ref, lambda_{r+1}(M_ref), tracked top-r block) for the Ritz step
     for it in range(1, cfg.max_iters + 1):
-        if tau == 0.0:
-            m = y - u + s_step
-        else:
-            m = (s + sigma * (y - u)) / (tau + sigma)
+        m = y - u
+        m *= shrink
+        m += s_scaled
         # a Ritz step when one is tracked, else (or on refusal, or to exit) the full eigh
         for exact in (ref is None, True):
             if exact:
@@ -317,22 +310,21 @@ def _solve_raw(sym, cfg, warm=None, budget=None):
                     continue
                 h, v, g = step
                 ref = (m_ref, lam_ref, v)
-            h_rel = _RELAX * h + (1.0 - _RELAX) * y
-            if budget is None:
-                y_new = soft_threshold(h_rel + u, rho / sigma)
-            else:
-                y_new, level = _l1_ball(h_rel + u, budget)
-            u_new = u + h_rel - y_new
+            # H_rel + U is the Y-step's input; less Y_new, it is the new multiplier
+            u_new = _RELAX * h + (1.0 - _RELAX) * y + u
+            level = rho / sigma if budget is None else _l1_level(u_new, budget)
+            y_new = soft_threshold(u_new, level)
+            u_new -= y_new
             r_p = float(np.linalg.norm(h - y_new))
             r_d = float(sigma * np.linalg.norm(y_new - y))
-            r_ps[it - 1], r_ds[it - 1] = r_p, r_d
+            hist[(it - 1) % window] = max(r_p, r_d)
             converged = r_p <= tol and r_d <= tol
             # sublinear-progress bail-out: a degenerate penalty (tied optima)
             # makes the iterates drift along the solution face at O(1/t); a
             # linear-rate solve shrinks far more than 0.5% per thousand steps
             stalled = False
             if not converged and it >= 2 * window and it % window == 0:
-                ratios = np.maximum(r_ps[it - window:it], r_ds[it - window:it]) / tol
+                ratios = hist / tol  # in order: it % window == 0
                 half = window // 2
                 stalled = bool(ratios[half:].min() > 0.995 * ratios[:half].min())
             # every exit leaves from an exact projection: redo a Ritz step that would stop
@@ -348,7 +340,7 @@ def _solve_raw(sym, cfg, warm=None, budget=None):
             if f != 1.0:
                 sigma *= f
                 u = u / f
-                s_step = s / sigma
+                shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
 
     if budget is not None:
         rho = sigma * level
@@ -370,7 +362,7 @@ def _solve_raw(sym, cfg, warm=None, budget=None):
         kkt=_kkt_arrays(s, h, z, rho, k, cfg.support_tol, r_p, tau),
         dual_clip_excess=clip_excess,
     )
-    if not (r_p <= tol and r_d <= tol):
+    if not converged:
         if stalled:
             msg = (f"progress stalled after {it} iterations "
                    f"(primal {r_p:.3e}, dual {r_d:.3e}); the problem is "

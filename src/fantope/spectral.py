@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import check_square, sym_residual
+from .base import _integer, check_square, sym_residual
 from .errors import InvalidInput, NumericalFailure
 
 
@@ -110,7 +110,7 @@ class FantopePoint:
         """
         a = check_square(entries, "Fantope point")
         p = a.shape[0]
-        _check_order(k, p)
+        k = _check_order(k, p)
         sresid = sym_residual(a)
         sym = 0.5 * (a + a.T)
         try:
@@ -124,7 +124,7 @@ class FantopePoint:
         if tr > _FANTOPE_TRACE_TOL * max(k, 1):
             raise InvalidInput(f"trace off by {tr:.3e} from k={k}")
         sym.flags.writeable = False
-        return cls(dim=p, k=int(k), entries=sym, constraint_residual=max(sresid, box, tr))
+        return cls(dim=p, k=k, entries=sym, constraint_residual=max(sresid, box, tr))
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,11 @@ class FantopeProjectionResult:
 # ===== operations =====
 
 def _check_order(k, p):
-    if int(k) != k or not (1 <= int(k) <= p):
+    """k as an int, by the base integer rule, or InvalidInput when it exceeds p."""
+    k = _integer("k", k)
+    if k > p:
         raise InvalidInput(f"subspace order k={k} must be an integer in [1, {p}]")
+    return k
 
 
 def _descending(w, v):
@@ -289,11 +292,11 @@ def fantope_project(a, k):
     residual certified from the constructed spectrum.
     """
     s = as_sym(a)
-    _check_order(k, s.dim)
-    ent, theta, _, _, g = _project(s.entries, int(k), s.spectrum.ascending())
+    k = _check_order(k, s.dim)
+    ent, theta, _, _, g = _project(s.entries, k, s.spectrum.ascending())
     # g is non-decreasing along the ascending spectrum, so reversing sorts it
     return FantopeProjectionResult(
-        point=_projected_point(ent, int(k), g), theta=theta, spectrum=s.spectrum,
+        point=_projected_point(ent, k, g), theta=theta, spectrum=s.spectrum,
         gamma_plus=np.ascontiguousarray(g[::-1]),
     )
 
@@ -307,8 +310,7 @@ def top_k_projector(a, k):
     k = p.
     """
     s = as_sym(a)
-    _check_order(k, s.dim)
-    return _top_k(s.spectrum, k)
+    return _top_k(s.spectrum, _check_order(k, s.dim))
 
 
 def _top_k(spec, k):

@@ -22,6 +22,21 @@ def waterfill_theta_bisect(gamma, k, iters=200):
     return 0.5 * (lo + hi)
 
 
+def l1_level_bisect(a, radius, iters=200):
+    """Soft-threshold level leaving l1 norm radius, by plain bisection (0 inside the ball)."""
+    mags = np.abs(np.asarray(a, dtype=float)).ravel()
+    if mags.sum() <= radius:
+        return 0.0
+    lo, hi = 0.0, float(mags.max())  # l1 norm above radius at lo, 0 at hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(mags - mid, 0.0).sum() > radius:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def random_feasible_point(rng, p, k, max_tries=1000):
     """A Fantope member built directly: random basis, rescaled box spectrum."""
     g = None

@@ -367,6 +367,16 @@ class TestBuildWitness:
         with pytest.raises(InvalidInput):
             build_witness(TOY, TOY, 2, (0,), 0.01)
 
+    @pytest.mark.parametrize("call", [
+        lambda: check_recovery_conditions(TOY, TOY, 1, (), 0.1),
+        lambda: check_recovery_conditions(TOY, TOY, 2, (0,), 0.1),
+        lambda: check_sample_conditions(TOY, 1, (), 100, 1.0, 1.0),
+    ], ids=["recovery-empty", "recovery-rank2", "sample-empty"])
+    def test_conditions_share_the_support_rule(self, call):
+        # the condition checks reject a support the certificate rejects
+        with pytest.raises(InvalidInput, match="cannot carry a rank"):
+            call()
+
     def test_full_support_has_no_offsupport_block(self):
         rep = build_witness(TOY, TOY, 1, (0, 1, 2), 0.01)
         assert rep.dual_offsupport_max == 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fantope.solver
 from fantope.diagnostics import check_lcc, persistence_gap
@@ -25,6 +26,7 @@ from fantope.solver import (
     FpsSolution,
     KktReport,
     SolverConfig,
+    _l1_level,
     check_kkt,
     soft_threshold,
     solve_fps,
@@ -32,7 +34,7 @@ from fantope.solver import (
     uniqueness_probe,
 )
 from fantope.spectral import FantopePoint, as_sym, eig_sym, top_k_projector
-from oracles import grid_solve_2x2, penalized_objective, random_feasible_point
+from oracles import grid_solve_2x2, l1_level_bisect, penalized_objective, random_feasible_point
 
 TOY = gen_toy(0.0).Sigma.entries
 
@@ -137,6 +139,17 @@ class TestSolverConfig:
         with pytest.raises(InvalidInput):
             SolverConfig(**{"k": 1, name: value})
 
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, 1j])
+    @pytest.mark.parametrize("name", ["rho", "tau_en", "admm_step", "eps", "support_tol"])
+    def test_real_fields_follow_the_base_rule(self, name, value):
+        with pytest.raises(InvalidInput, match=name):
+            SolverConfig(k=1, **{name: value})
+
+    def test_real_fields_are_stored_as_float(self):
+        cfg = SolverConfig(k=1, rho=1, tau_en=0, admm_step=2, eps=1, support_tol=1)
+        for name in ("rho", "tau_en", "admm_step", "eps", "support_tol"):
+            assert type(getattr(cfg, name)) is float, name
+
     def test_integer_valued_floats_are_stored_as_int(self):
         cfg = SolverConfig(k=1.0, rho=0.1, max_iters=20000.0)
         assert type(cfg.k) is int and type(cfg.max_iters) is int
@@ -152,6 +165,33 @@ class TestSoftThreshold:
             soft_threshold(a, 0.4),
             [[1.6, -0.1], [-0.1, 0.0]],
         )
+
+
+@st.composite
+def l1_ball_input(draw):
+    """(a, radius): a small matrix, ties likely, and a radius inside or outside its l1 ball."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 12))
+    a = rng.normal(scale=10.0 ** draw(st.floats(-3.0, 3.0)), size=(p, p))
+    if draw(st.booleans()):
+        a = np.round(a, 1)  # repeated magnitudes
+    norm = float(np.sum(np.abs(a)))
+    radius = draw(st.floats(0.01, 2.0)) * norm if norm > 0.0 else draw(st.floats(0.01, 5.0))
+    return a, radius
+
+
+class TestL1Level:
+    @settings(max_examples=300, deadline=None)
+    @given(l1_ball_input())
+    def test_matches_bisection_oracle(self, case):
+        a, radius = case
+        level = _l1_level(a, radius)
+        if np.sum(np.abs(a)) <= radius:
+            assert level == 0.0
+            return
+        assert level > 0.0
+        assert abs(l11_norm(soft_threshold(a, level)) - radius) <= 1e-9 * radius
+        assert abs(level - l1_level_bisect(a, radius)) <= 1e-9 * (1.0 + np.max(np.abs(a)))
 
 
 class TestPenaltyFreeSolve:
@@ -228,6 +268,20 @@ class TestPenalizedSolve:
         assert partial is not None
         assert partial.iters == 3
         assert partial.H.constraint_residual <= 1e-8  # H block stays feasible
+
+    def test_stall_exit_carries_partial(self):
+        # gate 7's s = 5 trial 7: the clique sits below the detection
+        # threshold, tied optima make the iterates drift at O(1/t), and the
+        # solve stops at the first stall test it fails, not at max_iters
+        s = gen_planted_clique(200, 5, 1_000_010)[1]
+        cfg = SolverConfig(k=1, rho=CLIQUE_RHO_MULT * math.sqrt(math.log(200.0) / 199.0),
+                           support_tol=1e-3)
+        with pytest.raises(NotConverged, match="stalled") as exc:
+            solve_fps(s, cfg)
+        assert type(exc.value) is NotConverged
+        partial = exc.value.solution
+        assert partial.iters == 2000
+        assert partial.H.constraint_residual <= 1e-8
 
     def test_relaxed_step_iterations_on_bench_sample(self):
         # the plain step takes 62 iterations on the bench sample, the

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fantope.diagnostics import check_sps
 from fantope.errors import InvalidInput
 from fantope.solver import _GAP_TIE_TOL
 from fantope.spectral import (
@@ -352,6 +353,30 @@ class TestTopKProjector:
     def test_tie_flagged_by_gap(self):
         _, gap = top_k_projector(np.eye(3), 1)
         assert gap <= _GAP_TIE_TOL
+
+
+class TestOrderArgument:
+    """k follows the base integer rule, then k <= p, at every spectral boundary."""
+
+    S = np.diag([3.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("call", [
+        fantope_project,
+        top_k_projector,
+        check_sps,
+        lambda s, k: FantopePoint.from_entries(np.diag([1.0, 0.0, 0.0]), k),
+    ], ids=["fantope_project", "top_k_projector", "check_sps", "from_entries"])
+    @pytest.mark.parametrize("k", ["a", None, True, 1.5, 0, 4, float("nan")])
+    def test_rejected_as_invalid_input(self, call, k):
+        with pytest.raises(InvalidInput):
+            call(self.S, k)
+
+    @pytest.mark.parametrize("call", [fantope_project, top_k_projector])
+    def test_integer_valued_float_is_stored_as_int(self, call):
+        res = call(self.S, 2.0)
+        point = res.point if hasattr(res, "point") else res[0]
+        assert type(point.k) is int
+        npt.assert_array_equal(point.entries, np.diag([1.0, 1.0, 0.0]))
 
 
 class TestProcrustesAlign:
