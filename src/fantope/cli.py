@@ -8,12 +8,14 @@ clique   planted-clique recovery experiment
 persist  predictive-covariance sweep over l1 budgets
 certify  recovery conditions plus dual certificate for (Sigma, S, J, rho)
 
-Exit codes: 0 success, 1 input error, 2 non-convergence, 3 failed
-certification.  The environment variable FPS_SEED, when set, overrides
-any seed given by flag or config file.  Experiment subcommands write a
-CSV with the fixed TrialRecord column set plus a summary JSON that
-embeds the fully resolved configuration and the package version; the
-summary is also printed to stdout.
+Exit codes: 0 success; 1 for any InvalidInput (SpsViolated and
+InfeasibleConstraint included) or OSError; 2 for NotConverged or
+NumericalFailure; 3 for a failed certification.  The environment
+variable FPS_SEED, when set, overrides any seed given by flag or config
+file.  Experiment subcommands write a CSV with the fixed TrialRecord
+column set plus a summary JSON that embeds the fully resolved
+configuration and the package version; the summary is also printed to
+stdout.
 
 Config file grammar (phase, persist): flat ``key = value`` lines.
 ``#`` starts a comment, blank lines are skipped, commas make a list
@@ -44,12 +46,12 @@ import numpy as np
 
 from . import __version__
 from .base import _finite_real, _integer, as_support
-from .errors import (InfeasibleConstraint, InvalidInput, NotConverged,
-                     NumericalFailure, SpsViolated)
+from .errors import InvalidInput, NotConverged, NumericalFailure, SpsViolated
 from .spectral import as_sym, eig_sym
 from .solver import SolverConfig, solve_fps, solve_fps_constrained
-from .models import (gen_planted_clique, gen_spiked, gen_toy, load_matrix_csv,
-                     sample_covariance, sample_gaussian, save_matrix_csv)
+from .models import (entrywise_error, gen_planted_clique, gen_spiked, gen_toy,
+                     load_matrix_csv, sample_covariance, sample_gaussian,
+                     save_matrix_csv)
 from .diagnostics import (check_lcc, check_recovery_conditions,
                           check_sample_conditions, build_witness,
                           support_error)
@@ -100,7 +102,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every value is typed here, once; commands read them as stored
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+        if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
+                or self.trials < 1):
             raise InvalidInput(f"trials={self.trials} must be a positive integer")
         params = {key: _PARAM_TYPES[key](key, v) if key in _PARAM_TYPES else v
                   for key, v in self.model_params.items()}
@@ -270,9 +273,9 @@ def _write_outputs(out_csv, records, summary):
     _emit_json(summary, _stem(out_csv) + ".summary.json")
 
 
-# typed errors that fail one trial: recorded in its row, never fatal
-_TRIAL_ERRORS = (InvalidInput, SpsViolated, NotConverged, NumericalFailure,
-                 InfeasibleConstraint)
+# the typed errors: one fails a trial (recorded in its row, never fatal);
+# outside a trial, main exits 1 for InvalidInput and 2 for the others
+_TRIAL_ERRORS = (InvalidInput, NotConverged, NumericalFailure)
 
 
 @contextmanager
@@ -304,7 +307,7 @@ def _condition_flags(rec, sigma, smat, k, j, rho):
         rec.det_cond1_lhs = cond.det_cond1_lhs
         rec.det_cond2_slack = cond.det_cond2_slack
         rec.entrywise_min_ok = cond.entrywise_min_ok
-    except (SpsViolated, InvalidInput):
+    except InvalidInput:
         pass
 
 
@@ -376,7 +379,7 @@ def cmd_phase(config):
         n = coord["n"]
         try:
             model = _build_model(config.model, params, seed)
-        except (InvalidInput, SpsViolated) as e:
+        except InvalidInput as e:
             for ti in range(config.trials):
                 records.append(TrialRecord("phase", ci, ti, n=n, seed=seed,
                                            error=f"model: {e}"))
@@ -392,8 +395,6 @@ def cmd_phase(config):
             with _trial(records, TrialRecord("phase", ci, ti, n=n, p=p,
                                              s=len(model.J), k=k,
                                              seed=tseed)) as rec:
-                if n < 2:
-                    raise InvalidInput(f"grid_n value {n} is too small")
                 smat = sample_covariance(sample_gaussian(model, n, tseed))
                 lam1 = eig_sym(smat).eigenvalues[0]
                 sigma_hat = config.sigma_mult * lam1
@@ -413,7 +414,7 @@ def cmd_phase(config):
                     cond = check_sample_conditions(model.Sigma, k, model.J,
                                                    n, sigma_hat, alpha)
                     rec.prob_sample_ok = cond.prob_sample_ok
-                except (SpsViolated, InvalidInput):
+                except InvalidInput:
                     pass
         recovered = sum(bool(rec.exact_recovery) for rec in records[-config.trials:])
         cell_stats.append({"cell": ci, **coord, "recovered": recovered,
@@ -474,18 +475,15 @@ def cmd_persist(config):
     r_axis = config.grid["r"]
     model = _build_model(config.model, config.model_params, seed)
     k, p = model.k, model.dim
-    for r in r_axis:
-        if r < k:
-            raise InvalidInput(f"budget R={r} below the trace k={k}")
     sandwich_tol = config.tolerances.get("sandwich_tol", 1e-6)
     cfg = _solver_config(k, 0.0, config.tolerances)
     out_csv = config.output_path or "persist_results.csv"
 
-    # the population solve depends only on R; do it once per budget
+    # the population value depends only on R; solve once per budget
     pop = {}
     for r in r_axis:
         sol, _ = solve_fps_constrained(model.Sigma, r, cfg)
-        pop[r] = (sol, float(np.sum(model.Sigma.entries * sol.H.entries)))
+        pop[r] = float(np.sum(model.Sigma.entries * sol.H.entries))
 
     records, cell_stats = [], []
     cells = list(itertools.product(n_axis, r_axis))
@@ -494,23 +492,15 @@ def cmd_persist(config):
             tseed = _trial_seed(seed, ci, ti)
             with _trial(records, TrialRecord("persist", ci, ti, n=n, p=p, k=k,
                                              r_level=r, seed=tseed)) as rec:
-                if n == 0:
-                    smat = model.Sigma
-                elif n < 2:
-                    raise InvalidInput(f"grid_n value {n} is too small")
-                else:
-                    smat = sample_covariance(sample_gaussian(model, n, tseed))
-                sol, rho_star = solve_fps_constrained(smat, r, cfg)
-                rec.rho = rho_star
-                rec.objective = float(np.sum(as_sym(smat).entries
-                                             * sol.H.entries))
+                smat = (model.Sigma if n == 0 else
+                        sample_covariance(sample_gaussian(model, n, tseed)))
+                sol, rec.rho = solve_fps_constrained(smat, r, cfg)
+                rec.objective = float(np.sum(smat.entries * sol.H.entries))
                 rec.iters = sol.iters
-                rec.pop_value = pop[r][1]
-                rec.emp_value = float(np.sum(model.Sigma.entries
-                                             * sol.H.entries))
+                rec.pop_value = pop[r]
+                rec.emp_value = float(np.sum(model.Sigma.entries * sol.H.entries))
                 rec.persist_gap = rec.pop_value - rec.emp_value
-                rec.persist_bound = float(2.0 * r * np.max(np.abs(
-                    as_sym(smat).entries - model.Sigma.entries)))
+                rec.persist_bound = 2.0 * r * entrywise_error(smat, model.Sigma)
                 rec.sandwich_ok = rec.persist_gap >= -sandwich_tol
         violations = sum(not rec.sandwich_ok for rec in records[-config.trials:]
                          if rec.sandwich_ok is not None)
@@ -532,10 +522,7 @@ def cmd_certify(sigma_csv, s_csv, k, j, rho, out=None):
     # wrapped once, so the conditions and the witness share Sigma's spectrum
     sigma = as_sym(load_matrix_csv(sigma_csv))
     smat = as_sym(load_matrix_csv(s_csv))
-    p = sigma.dim
     jset = as_support(j)
-    if jset.size == 0 or max(jset.indices) >= p:
-        raise InvalidInput(f"support {list(jset.indices)} out of range for p={p}")
     try:
         cond = check_recovery_conditions(sigma, smat, k, jset, rho)
         wit = build_witness(sigma, smat, k, jset, rho)
@@ -635,8 +622,7 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidInput, OSError, NotConverged, NumericalFailure,
-            InfeasibleConstraint) as e:
+    except _TRIAL_ERRORS + (OSError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, (InvalidInput, OSError)) else 2
 

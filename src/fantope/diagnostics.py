@@ -133,11 +133,12 @@ def check_lcc(sigma, k, j):
 
     lhs = (8s / gap) * max row norm of Sigma[complement, support]; the
     condition holds with constant alpha when lhs <= 1 - alpha.  Returns
-    (lhs, alpha) with alpha = max(0, 1 - lhs).
+    (lhs, alpha) with alpha = max(0, 1 - lhs).  A support that cannot
+    carry a rank-k projector on range(p) raises InvalidInput.
     """
     sym = as_sym(sigma)
-    j = as_support(j)
-    if len(j.complement(sym.dim)) == 0:
+    j = _carried(j, k, sym.dim)
+    if len(j) == sym.dim:
         return 0.0, 1.0  # no complement rows: nothing to budget, no gap needed
     pop = _gapped(sym, k, "; correlation budget is undefined")
     return _lcc(sym, j, pop.gap)
@@ -152,9 +153,10 @@ def sign_rank_one(m, j):
     Any entry with magnitude <= 1e-12 disqualifies the pattern.  The
     check fixes b from the first row's signs and verifies consistency,
     which is equivalent to the exhaustive search over all sign vectors.
+    An empty J, or one reaching past M's rows, raises InvalidInput.
     """
     m = np.asarray(m, dtype=float)
-    j = as_support(j)
+    j = _carried(j, 1, len(m))
     sub = m[np.ix_(j.as_array(), j.as_array())]
     if np.any(np.abs(sub) <= _SIGN_ZERO_TOL):
         return False
@@ -190,11 +192,12 @@ def l11_row_bound(point):
 
 # ===== recovery condition checks =====
 
-def _carried(j, k):
-    """j as a SupportSet; InvalidInput when it is too small to carry a rank-k projector."""
-    j = as_support(j)
-    if len(j) < k:
-        raise InvalidInput(f"support of size {len(j)} cannot carry a rank-{k} projector")
+def _carried(j, k, p):
+    """j as a SupportSet; InvalidInput unless it holds k or more indices, all below p."""
+    j, k = as_support(j), _check_order(k, p)
+    if len(j) < k or j.indices[-1] >= p:
+        raise InvalidInput(f"support {list(j.indices)} cannot carry a rank-{k} "
+                           f"projector on range({p})")
     return j
 
 
@@ -202,10 +205,11 @@ def _conditions(sym, k, j, rho, signed_floor):
     """The condition report fields both checks share, from one spectrum.
 
     Returns (report, population); det_cond1_lhs and prob_sample_ok are left
-    None for the caller to fill.  A support smaller than k raises InvalidInput.
+    None for the caller to fill.  A support that cannot carry a rank-k
+    projector on range(p) raises InvalidInput, before the eigengap is read.
     """
+    j = _carried(j, k, sym.dim)
     pop = _gapped(sym, k)
-    j = _carried(j, k)
     card = len(j)
     jj = j.as_array()
     lcc_lhs, lcc_alpha = _lcc(sym, j, pop.gap)
@@ -243,7 +247,7 @@ def check_recovery_conditions(sigma, s, k, j, rho):
     sym, smat = _pair(sigma, s)
     if _finite_real("rho", rho) <= 0:
         raise InvalidInput("recovery conditions are stated for rho > 0")
-    rep, _ = _conditions(sym, k, as_support(j), rho, signed_floor=False)
+    rep, _ = _conditions(sym, k, j, rho, signed_floor=False)
     err = entry_max_norm(smat.entries - sym.entries)
     return replace(rep, det_cond1_lhs=float(err / rho + rep.lcc_lhs))
 
@@ -285,8 +289,11 @@ def frobenius_bound_check(sigma, s, k, j, rho, sol):
     ||S - Sigma||_max; the caller owns that choice.  Returns
     (lhs, rhs, ok).
     """
-    j = as_support(j)
-    pop = _gapped(as_sym(sigma), k)
+    sym = as_sym(sigma)
+    j = _carried(j, k, sym.dim)
+    if _finite_real("rho", rho) < 0:
+        raise InvalidInput(f"rho={rho} must be non-negative")
+    pop = _gapped(sym, k)
     lhs = float(np.linalg.norm(sol.H.entries - pop.pi.entries))
     rhs = float(4.0 * rho * len(j) / pop.gap)
     return lhs, rhs, bool(lhs <= rhs + _FROBENIUS_TOL)
@@ -320,7 +327,7 @@ def build_witness(sigma, s, k, j, rho):
         raise InvalidInput("certificate construction divides by rho; need rho > 1e-12")
     sym, smat = _pair(sigma, s)
     p = sym.dim
-    j = _carried(j, k)
+    j = _carried(j, k, p)
     card = len(j)
     jj = j.as_array()
     jc = j.complement(p).as_array()
@@ -411,10 +418,7 @@ def stability_check(sigma, delta, k, r_level):
     |f(Sigma + Delta) - f(Sigma)| <= 2*R*||Delta||_max.  Returns
     (f_diff, bound).
     """
-    sym = as_sym(sigma)
-    dmat = as_sym(delta)
-    if sym.dim != dmat.dim:
-        raise InvalidInput("perturbation dimension differs from the matrix")
+    sym, dmat = _pair(sigma, delta)
     moved = SymMat.from_array(sym.entries + dmat.entries)
     sol_a, _ = solve_fps_constrained(sym, r_level, SolverConfig(k=k))
     sol_b, _ = solve_fps_constrained(moved, r_level, SolverConfig(k=k))

@@ -2,7 +2,8 @@
 
 
 class InvalidInput(ValueError):
-    """Malformed input: wrong shape, non-finite entries, out-of-range parameter."""
+    """Bad input: wrong shape, non-finite entries, out-of-range parameter, or (as
+    SpsViolated or InfeasibleConstraint) a matrix or budget outside the theory's domain."""
 
 
 class NumericalFailure(RuntimeError):
@@ -20,7 +21,7 @@ class NotConverged(RuntimeError):
         self.solution = solution
 
 
-class InfeasibleConstraint(ValueError):
+class InfeasibleConstraint(InvalidInput):
     """A constraint level that no feasible point can satisfy (e.g. R < k)."""
 
 
@@ -28,7 +29,7 @@ class GapCollapsed(RuntimeError):
     """An eigenvalue gap required by a procedure is zero or negative."""
 
 
-class SpsViolated(ValueError):
+class SpsViolated(InvalidInput):
     """The population matrix lacks the spectral structure a check requires."""
 
 

@@ -17,7 +17,7 @@ from fantope.cli import (
     main,
     parse_config,
 )
-from fantope.errors import InvalidInput
+from fantope.errors import InfeasibleConstraint, InvalidInput, SpsViolated
 from fantope.models import gen_toy, load_matrix_csv, save_matrix_csv
 from fantope.spectral import top_k_projector
 from test_solver import count_linalg
@@ -113,7 +113,7 @@ class TestConfigParsing:
         with pytest.raises(InvalidInput):
             ExperimentConfig(grid={"n": ()})
 
-    @pytest.mark.parametrize("trials", ["2.0", "1.5", "nan"])
+    @pytest.mark.parametrize("trials", ["2.0", "1.5", "nan", "true"])
     @pytest.mark.parametrize("command", ["phase", "persist"])
     def test_non_integer_trials_is_an_input_error(self, tmp_path, command, trials):
         path = tmp_path / "cfg.txt"
@@ -140,7 +140,8 @@ class TestConfigParsing:
         ("phase", "seed", "abc"), ("phase", "t", "inf"), ("phase", "noise", "abc"),
         ("phase", "sigma_mult", "abc"), ("phase", "alpha", "nan"),
         ("phase", "spike_values", "2.0, abc"), ("phase", "grid_rho", "abc"),
-        ("persist", "grid_r", "abc"), ("persist", "sandwich_tol", "abc"),
+        ("persist", "grid_r", "abc"), ("persist", "grid_r", "0.5"),
+        ("persist", "sandwich_tol", "abc"),
         ("persist", "sandwich_tol", "-1e-6"), ("phase", "output_path", "3"),
     ])
     def test_malformed_value_is_an_input_error(self, tmp_path, monkeypatch, capsys,
@@ -420,6 +421,7 @@ class TestCertifyCmd:
     def test_out_of_range_support(self, toy_csv, capsys):
         assert main(["certify", toy_csv, toy_csv,
                      "--k", "1", "--j", "0,9", "--rho", "0.002"]) == 1
+        assert "[0, 9]" in capsys.readouterr().err
 
     def test_unreadable_matrix(self, toy_csv, capsys):
         assert main(["certify", toy_csv, "/nonexistent.csv",
@@ -445,6 +447,11 @@ class TestMainPlumbing:
     def test_bad_j_list(self, toy_csv, capsys):
         assert main(["certify", toy_csv, toy_csv,
                      "--k", "1", "--j", "a,b", "--rho", "0.01"]) == 1
+
+    def test_domain_errors_are_input_errors(self):
+        # main exits 1 for every InvalidInput, these two included
+        assert issubclass(SpsViolated, InvalidInput)
+        assert issubclass(InfeasibleConstraint, InvalidInput)
 
     def test_solve_via_argv(self, toy_csv, capsys):
         assert main(["solve", toy_csv, "--k", "1", "--rho", "0.95"]) == 0

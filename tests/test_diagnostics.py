@@ -26,6 +26,7 @@ from oracles import random_feasible_point, sign_rank_one_bruteforce
 from test_solver import count_linalg
 
 TOY = gen_toy(0.0).Sigma.entries
+TOY_SOL = solve_fps(TOY, SolverConfig(k=1, rho=0.0))
 
 
 def toy_gap(t):
@@ -91,6 +92,11 @@ class TestSignRankOne:
     def test_zero_entry_disqualifies(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert not sign_rank_one(m, (0, 1))
+
+    @pytest.mark.parametrize("j", [(), (0, 3)], ids=["empty", "out-of-range"])
+    def test_support_off_the_matrix_is_invalid_input(self, j):
+        with pytest.raises(InvalidInput, match="cannot carry a rank"):
+            sign_rank_one(TOY, j)
 
     def test_against_bruteforce(self):
         rng = np.random.default_rng(17)
@@ -236,9 +242,17 @@ class TestRealArguments:
         lambda m: check_recovery_conditions(m.Sigma, m.Sigma, 1, m.J, "a"),
         lambda m: build_witness(m.Sigma, m.Sigma, 1, m.J, np.nan),
         lambda m: build_witness(m.Sigma, m.Sigma, 1, m.J, "a"),
+        lambda m: frobenius_bound_check(TOY, TOY, 1, (0, 1), np.nan, TOY_SOL),
+        lambda m: frobenius_bound_check(TOY, TOY, 1, (0, 1), "a", TOY_SOL),
+        lambda m: frobenius_bound_check(TOY, TOY, 1, (0, 1), -1.0, TOY_SOL),
+        lambda m: frobenius_bound_check(TOY, TOY, 1, (0, 1), True, TOY_SOL),
+        lambda m: frobenius_bound_check(TOY, TOY, 1, (), 0.1, TOY_SOL),
+        lambda m: frobenius_bound_check(TOY, TOY, 1, (0, 9), 0.1, TOY_SOL),
     ], ids=["n-str", "n-nan", "n-inf", "n-none", "alpha-str", "sigma_scale-nan",
             "sigma_scale-negative", "recovery-rho-nan", "recovery-rho-str",
-            "witness-rho-nan", "witness-rho-str"])
+            "witness-rho-nan", "witness-rho-str", "frobenius-rho-nan",
+            "frobenius-rho-str", "frobenius-rho-negative", "frobenius-rho-bool",
+            "frobenius-j-empty", "frobenius-j-out-of-range"])
     def test_rejected_as_invalid_input(self, call):
         with pytest.raises(InvalidInput):
             call(self.M)
@@ -371,7 +385,10 @@ class TestBuildWitness:
         lambda: check_recovery_conditions(TOY, TOY, 1, (), 0.1),
         lambda: check_recovery_conditions(TOY, TOY, 2, (0,), 0.1),
         lambda: check_sample_conditions(TOY, 1, (), 100, 1.0, 1.0),
-    ], ids=["recovery-empty", "recovery-rank2", "sample-empty"])
+        lambda: check_lcc(TOY, 1, ()),
+        lambda: check_lcc(TOY, 1, (0, 9)),
+    ], ids=["recovery-empty", "recovery-rank2", "sample-empty", "lcc-empty",
+            "lcc-out-of-range"])
     def test_conditions_share_the_support_rule(self, call):
         # the condition checks reject a support the certificate rejects
         with pytest.raises(InvalidInput, match="cannot carry a rank"):
