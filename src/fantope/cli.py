@@ -332,6 +332,7 @@ def cmd_solve(matrix_csv, k, rho, out_h=None, **settings):
         "support": list(sol.support.indices),
         "objective": sol.objective,
         "iters": sol.iters,
+        "working_set": sol.working_set,
         "primal_residual": sol.primal_residual,
         "dual_residual": sol.dual_residual,
         "dual_clip_excess": sol.dual_clip_excess,
@@ -433,11 +434,9 @@ def cmd_phase(config):
 def cmd_clique(p, s, trials, seed, rho_mult=CLIQUE_RHO_MULT,
                support_tol=1e-3, out=None):
     """Planted-clique recovery: draw graphs, solve at k=1, score the clique."""
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
-    if p < 3:
-        # the penalty below divides by p - 1 and takes log p
-        raise InvalidInput(f"need p >= 3, got p={p}")
+    trials = _integer("trials", trials)
+    # the penalty below divides by p - 1 and takes log p
+    p = _integer("p", p, least=3)
     seed = _resolve_seed(seed)
     rho = rho_mult * math.sqrt(math.log(p) / (p - 1))
     cfg = SolverConfig(k=1, rho=rho, support_tol=support_tol)

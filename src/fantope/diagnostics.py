@@ -17,7 +17,7 @@ import numpy as np
 from .base import (SupportSet, _finite_real, _integer, _support_of, as_support,
                    entry_max_norm, l11_norm, row_l2_max)
 from .errors import InvalidInput, SpsViolated
-from .solver import SolverConfig, solve_fps, solve_fps_constrained
+from .solver import SolverConfig, _embed, solve_fps, solve_fps_constrained
 from .spectral import (FantopePoint, SymMat, _check_order, _top_k, as_sym, eig_sym,
                        procrustes_align)
 
@@ -339,8 +339,7 @@ def build_witness(sigma, s, k, j, rho):
     z_sub = sub_sol.Z
 
     # block-diag(B, 0) has B's spectrum plus zeros: B's residual carries over
-    htilde = np.zeros((p, p))
-    htilde[np.ix_(jj, jj)] = sub_sol.H.entries
+    htilde = _embed(sub_sol.H.entries, jj, np.zeros((p, p)))
     htilde.flags.writeable = False
     htilde_point = FantopePoint(dim=p, k=sub_sol.H.k, entries=htilde,
                                 constraint_residual=sub_sol.H.constraint_residual)

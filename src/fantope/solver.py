@@ -68,9 +68,30 @@ eigh (two Weyl refreshes and the exact finish) once S's spectrum is known
 (the plug-in penalty reads it), instead of one per iteration, and about
 1.6 ms per iteration instead of 6.1 (numpy 2.4 with OpenBLAS at one
 thread on a 2-core x86_64 host).
+
+A cold penalized solve (no warm start, rho > 0) first screens, in the
+manner of the strong rules (Tibshirani et al., JRSS-B 2012) and of exact
+covariance thresholding (Mazumder & Hastie, JMLR 2012).  J0 is the set of
+rows with an off-diagonal |S_ij| > rho, topped up with the k rows of
+largest diagonal when it holds fewer than k.  When 4 |J0| <= p the loop
+runs on S[J0, J0] alone, and its answer is filled in to p x p as in Lei &
+Vu's primal-dual witness: H is the block's projection embedded in zeros,
+Z on J0 x J0 is the block's multiplier, and Z elsewhere is S/rho with a
+zero diagonal.  Every entry outside J0 x J0 lies in a row or a column
+outside J0, so |S_ij| <= rho there: the fill sits in [-1, 1] without a
+clip, it is a subgradient of |H_ij| = 0, and S - rho Z is block-diagonal
+(the block's gradient on J0, diag(S) off it).  The answer stands when its
+one p x p KKT report certifies it, fantope_optimality_gap <=
+eps sqrt(p) (1 + |objective|): H then maximizes <S - rho Z, .> over the
+Fantope, so the pair is optimal for the full problem.  A refused
+certificate, or a block run that stalls or runs out of iterations, falls
+back to the full cold loop.  On the p=200 bench samples J0 is the 5-row
+support and a solve takes 5-10 ms instead of 40-60 (same host); a planted
+clique screens nothing (|J0| = p) and keeps the full loop.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,6 +164,10 @@ class FpsSolution:
     zero), and the penalty only shifts S - rho W by the constant rho * k.
     So (H, H, (rho/step) * (Z + I)) is a valid warm start (H, Y, U) that
     resumes the splitting iteration from this solution.
+
+    working_set is the order of the loop that produced the answer: |J0| when
+    the screened block answered (Z off J0 x J0 is then S/rho), p for the
+    full loop; iters counts that loop's iterations.
     """
 
     H: FantopePoint
@@ -154,6 +179,7 @@ class FpsSolution:
     dual_residual: float
     kkt: KktReport
     dual_clip_excess: float = 0.0
+    working_set: int = None
 
 
 @dataclass(frozen=True)
@@ -258,22 +284,35 @@ def _reference(m, gamma, v, g):
     return m, float(gamma[-r - 1]), v[:, -r:].copy()
 
 
-def _solve_raw(sym, cfg, warm=None, budget=None):
-    """The one solve body: the splitting loop, then the solution read off its state.
+class _Run(NamedTuple):
+    """The state a splitting loop leaves: its last projection and how it stopped."""
 
-    sym is the SymMat S; warm is a trusted (H, Y, U) triple of p x p arrays.
-    Without one, iteration 1 projects M0 = (S + step (k/p) I)/(tau + step),
-    whose eigenpairs are S's retained spectrum shifted and scaled, so a cold
-    start takes no eigh of its own.  Every iteration takes the one step of
-    the module docstring; the forms differ only in the soft-threshold level.
-    It is rho/step without a budget; with a budget R it is the level that
-    projects onto the l1 ball of radius R, the step is balanced, and
-    rho* = step * (the last level) stands in for cfg.rho in Z, the objective
-    and the KKT report.  Returns (solution, the penalty it was read at).
+    h: np.ndarray       # the last (exact) projection
+    g: np.ndarray       # its clipped eigenvalues
+    u: np.ndarray       # the scaled multiplier
+    sigma: float        # the step at exit (balanced for the budget form)
+    level: float        # the last soft-threshold level
+    iters: int
+    r_p: float
+    r_d: float
+    converged: bool
+    stalled: bool
+
+
+def _loop(s, k, cfg, warm=None, eig=None, budget=None):
+    """The splitting loop on the raw symmetric array s; returns its _Run.
+
+    warm is a trusted (H, Y, U) triple of arrays shaped like s.  Without
+    one, iteration 1 projects M0 = (S + step (k/p) I)/(tau + step); eig, the
+    ascending eigenpairs of s when the caller holds them, gives M0's shifted
+    and scaled, so the cold start takes no eigh of its own (else M0 is
+    decomposed).  Every iteration takes the one step of the module
+    docstring; the forms differ only in the soft-threshold level: rho/step
+    without a budget; with a budget R the level that projects onto the l1
+    ball of radius R, and the step is balanced.
     """
-    s = sym.entries
     p = s.shape[0]
-    k, rho, tau, sigma = _check_order(cfg.k, p), cfg.rho, cfg.tau_en, cfg.admm_step
+    rho, tau, sigma = cfg.rho, cfg.tau_en, cfg.admm_step
     # the H-step's input is shrink * (Y - U) + s_scaled for every tau >= 0
     shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
     if warm is None:
@@ -281,8 +320,7 @@ def _solve_raw(sym, cfg, warm=None, budget=None):
         y = h.copy()
         u = np.zeros((p, p))
         # the loop's m below at Y = (k/p) I, U = 0
-        gamma, v = sym.spectrum.ascending()
-        cold = ((1.0 / (tau + sigma)) * gamma + shrink * (k / p), v)
+        cold = None if eig is None else ((1.0 / (tau + sigma)) * eig[0] + shrink * (k / p), eig[1])
     else:
         h, y, u = warm
         cold = None
@@ -341,42 +379,117 @@ def _solve_raw(sym, cfg, warm=None, budget=None):
                 sigma *= f
                 u = u / f
                 shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
+    return _Run(h, g, u, sigma, level, it, r_p, r_d, converged, stalled)
 
-    if budget is not None:
-        rho = sigma * level
+
+def _read_out(s, k, cfg, run, h, z_raw, rho):
+    """The FpsSolution of a finished run, read off p x p arrays.
+
+    h is the run's projection and z_raw the multiplier (step/rho) U, both
+    already p x p (None at rho = 0).  Z is z_raw symmetrized, its diagonal
+    zeroed and clipped to [-1, 1]; the objective, the support and the KKT
+    report (one eigvalsh) are evaluated here, once.  working_set is the
+    run's own order.
+    """
     if rho > 0.0:
-        z_raw = (sigma / rho) * u
         z_raw = 0.5 * (z_raw + z_raw.T)
         np.fill_diagonal(z_raw, 0.0)
         clip_excess = max(0.0, entry_max_norm(z_raw) - 1.0)
         z = np.clip(z_raw, -1.0, 1.0)
     else:
-        z = np.zeros((p, p))
+        z = np.zeros_like(s)
         clip_excess = 0.0
-
-    sol = FpsSolution(
-        H=_projected_point(h, k, g), Z=z,
+    tau = cfg.tau_en
+    return FpsSolution(
+        H=_projected_point(h, k, run.g), Z=z,
         objective=float(np.sum(s * h) - rho * np.sum(np.abs(h)) - 0.5 * tau * np.sum(h * h)),
-        support=_extract_support(h, cfg.support_tol, r_p), iters=it,
-        primal_residual=r_p, dual_residual=r_d,
-        kkt=_kkt_arrays(s, h, z, rho, k, cfg.support_tol, r_p, tau),
-        dual_clip_excess=clip_excess,
+        support=_extract_support(h, cfg.support_tol, run.r_p), iters=run.iters,
+        primal_residual=run.r_p, dual_residual=run.r_d,
+        kkt=_kkt_arrays(s, h, z, rho, k, cfg.support_tol, run.r_p, tau),
+        dual_clip_excess=clip_excess, working_set=run.h.shape[0],
     )
-    if not converged:
-        if stalled:
-            msg = (f"progress stalled after {it} iterations "
-                   f"(primal {r_p:.3e}, dual {r_d:.3e}); the problem is "
+
+
+def _solve_raw(sym, cfg, warm=None, budget=None):
+    """The full p x p loop on the SymMat S, then its read-out.
+
+    A cold start reads S's retained spectrum.  With a budget R, rho* = step
+    * (the last level) stands in for cfg.rho in Z, the objective and the KKT
+    report.  Returns (solution, the penalty it was read at); a run that
+    stalls or runs out of iterations raises NotConverged with its solution.
+    """
+    s = sym.entries
+    p = s.shape[0]
+    k = _check_order(cfg.k, p)
+    eig = sym.spectrum.ascending() if warm is None else None
+    run = _loop(s, k, cfg, warm, eig, budget)
+    rho = cfg.rho if budget is None else run.sigma * run.level
+    z_raw = (run.sigma / rho) * run.u if rho > 0.0 else None
+    sol = _read_out(s, k, cfg, run, run.h, z_raw, rho)
+    if not run.converged:
+        if run.stalled:
+            msg = (f"progress stalled after {run.iters} iterations "
+                   f"(primal {run.r_p:.3e}, dual {run.r_d:.3e}); the problem is "
                    "likely degenerate at this penalty")
         else:
             msg = (f"splitting solver hit max_iters={cfg.max_iters} "
-                   f"(primal {r_p:.3e}, dual {r_d:.3e})")
+                   f"(primal {run.r_p:.3e}, dual {run.r_d:.3e})")
         raise NotConverged(msg, solution=sol)
     return sol, rho
+
+
+def _screen(s, rho, k):
+    """The rows of s with an off-diagonal entry above rho in magnitude.
+
+    Fewer than k such rows are topped up with the k rows of largest
+    diagonal, so the block can carry a rank-k projector.
+    """
+    off = np.abs(s) > rho
+    np.fill_diagonal(off, False)
+    rows = np.flatnonzero(off.any(axis=1))
+    if rows.size < k:
+        rows = np.union1d(rows, np.argsort(np.diag(s), kind="stable")[-k:])
+    return rows
+
+
+def _embed(block, idx, out):
+    """out with block written at its rows and columns idx; returns out."""
+    out[np.ix_(idx, idx)] = block
+    return out
+
+
+def _screened(sym, cfg):
+    """A cold penalized solve answered on the screened block, or None.
+
+    The loop runs on S[J0, J0], J0 the screen's rows, when 4 |J0| <= p.
+    Its H is embedded in p x p zeros and its multiplier fills Z on J0 x J0;
+    Z elsewhere is S/rho, which the screen keeps inside [-1, 1].  The
+    answer stands when its KKT report certifies it for the full problem;
+    None (refused, or a block run that did not converge) sends the caller to
+    the full loop.
+    """
+    s = sym.entries
+    p = s.shape[0]
+    k = _check_order(cfg.k, p)
+    rows = _screen(s, cfg.rho, k)
+    if 4 * rows.size > p:
+        return None
+    run = _loop(s[np.ix_(rows, rows)], k, cfg)
+    if not run.converged:
+        return None
+    h = _embed(run.h, rows, np.zeros((p, p)))
+    z_raw = _embed((run.sigma / cfg.rho) * run.u, rows, s / cfg.rho)
+    sol = _read_out(s, k, cfg, run, h, z_raw, cfg.rho)
+    if sol.kkt.fantope_optimality_gap > cfg.eps * np.sqrt(p) * (1.0 + abs(sol.objective)):
+        return None
+    return sol
 
 
 def solve_fps(s, config, warm=None):
     """Penalized Fantope solve; tau_en > 0 makes it strongly concave.
 
+    A cold solve at rho > 0 first tries the screened block (see the module
+    docstring) and runs the full loop only when its answer is not certified.
     warm is an optional (H, Y, U) triple of finite p x p arrays to resume
     from; anything else raises InvalidInput.  Raises NotConverged (carrying
     the partial solution) if the iteration budget runs out or progress
@@ -385,6 +498,10 @@ def solve_fps(s, config, warm=None):
     sym = as_sym(s)
     if warm is not None:
         warm = _warm_triple(warm, sym.dim)
+    elif config.rho > 0.0:
+        sol = _screened(sym, config)
+        if sol is not None:
+            return sol
     sol, _ = _solve_raw(sym, config, warm)
     return sol
 

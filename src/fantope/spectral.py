@@ -186,8 +186,11 @@ def _water_fill(gamma, k):
         hi = np.searchsorted(gamma, cands + 1.0, side="left")  # gamma_j >= c+1: 1
         phis = (p - hi) + (csum[hi] - csum[lo]) - (hi - lo) * cands
         # phi(cands[0]) = p >= k and phi(cands[-1]) = 0 < k, so a crossing exists;
-        # the comparison is slackened because phi near a kink rounds at ~p*eps
-        above = np.nonzero(phis >= k - 1e-9 * k)[0]
+        # the comparison is slackened by phi's rounding near a kink, ~p*eps
+        # times the magnitudes summed (a wider slack takes a kink the root
+        # lies before, and the interpolation then overshoots it)
+        slack = 16.0 * p * np.finfo(float).eps * (k + float(np.max(np.abs(gamma))))
+        above = np.nonzero(phis >= k - slack)[0]
         if above.size == 0:
             raise NumericalFailure("water-level scan found no feasible segment")
         i = int(above[-1])

@@ -20,7 +20,8 @@ from fantope.cli import (
 from fantope.errors import InfeasibleConstraint, InvalidInput, SpsViolated
 from fantope.models import gen_toy, load_matrix_csv, save_matrix_csv
 from fantope.spectral import top_k_projector
-from test_solver import count_linalg
+from fantope.solver import solve_fps
+from test_solver import count_linalg, spiked_case
 
 
 @pytest.fixture
@@ -195,6 +196,16 @@ class TestSolveCmd:
     def test_non_finite_setting_is_an_input_error(self, toy_csv, flag, value, capsys):
         assert main(["solve", toy_csv, "--k", "1", flag, value]) == 1
 
+    def test_reports_the_loop_that_answered(self, tmp_path, capsys):
+        s, cfg = spiked_case()
+        path = str(tmp_path / "S.csv")
+        save_matrix_csv(path, s)
+        assert cmd_solve(path, cfg.k, cfg.rho) == 0
+        out = json.loads(capsys.readouterr().out)
+        sol = solve_fps(s, cfg)
+        assert (out["working_set"], out["iters"]) == (sol.working_set, sol.iters)
+        assert out["working_set"] < s.shape[0]
+
     def test_iteration_starvation_exits_two(self, toy_csv, capsys):
         code = main(["solve", toy_csv, "--k", "1", "--rho", "0.05",
                      "--max-iters", "1"])
@@ -252,6 +263,13 @@ class TestCliqueCmd:
         monkeypatch.chdir(tmp_path)
         assert main(["clique", "--p", p, "--s", "2", "--trials", "1"]) == 1
         assert not (tmp_path / "clique_results.csv").exists()
+
+    @pytest.mark.parametrize("p, trials", [(10, 2.5), (10, True), (10.5, 1)])
+    def test_non_integer_size_or_trials_is_an_input_error(self, tmp_path, monkeypatch, p, trials):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InvalidInput):
+            cmd_clique(p, 3, trials, 1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_clique_larger_than_graph(self, tmp_path, monkeypatch, capsys):
         # no --out: the default CSV and summary land in the working directory

@@ -87,6 +87,11 @@ def full_eigh_only(monkeypatch):
     monkeypatch.setattr(fantope.solver, "_ritz_project", lambda *args: None)
 
 
+def full_loop_only(monkeypatch):
+    """Make the screen keep every row, so each cold solve runs the full p x p loop."""
+    monkeypatch.setattr(fantope.solver, "_screen", lambda s, rho, k: np.arange(s.shape[0]))
+
+
 def assert_gate10_kkt(s, sol, rho):
     rep = check_kkt(s, sol, rho)
     assert rep.sign_mismatch <= 1e-4
@@ -341,12 +346,14 @@ class TestRitzStep:
         # one full eigh per iteration would be 40: a cold start, a couple of
         # Weyl refreshes and the exact finish remain
         s, cfg = bench_case()
+        full_loop_only(monkeypatch)
         calls = count_linalg(monkeypatch, "eigh")
         sol = solve_fps(s, cfg)
         monkeypatch.undo()
         assert calls.count(s.shape) <= 6
         assert sol.iters <= 50
         assert_gate10_kkt(s, sol, cfg.rho)
+        full_loop_only(monkeypatch)
         full_eigh_only(monkeypatch)
         full = solve_fps(s, cfg)
         assert sol.iters == full.iters
@@ -374,6 +381,7 @@ class TestRitzStep:
         # converged or out of iterations, H is the output of the last full
         # _project call, never of a Ritz step
         s, cfg = spiked_case()
+        full_loop_only(monkeypatch)
         real, outputs = fantope.solver._project, []
 
         def recording(m, k, eig=None):
@@ -405,6 +413,7 @@ class TestColdStartFromSpectrum:
     def test_known_spectrum_saves_one_eigh(self, monkeypatch, tau):
         s, cfg = bench_case()
         cfg = cfg.with_(tau_en=tau)
+        full_loop_only(monkeypatch)
         sym = as_sym(s)
         sym.spectrum
         calls = count_linalg(monkeypatch, "eigh")
@@ -424,6 +433,7 @@ class TestColdStartFromSpectrum:
     def test_same_solve_as_decomposing_m(self, monkeypatch, case, tau, ritz):
         s, cfg = case()
         cfg = cfg.with_(tau_en=tau)
+        full_loop_only(monkeypatch)
         if not ritz:
             full_eigh_only(monkeypatch)
         sol, ref = solve_fps(as_sym(s), cfg), self.eigh_of_m(s, cfg)
@@ -464,6 +474,104 @@ class TestColdStartFromSpectrum:
         monkeypatch.setattr(fantope.solver, "_solve_raw", recording)
         call(sym, cfg)
         assert len(seen) == solves and all(x is sym for x in seen)
+
+
+@st.composite
+def spiked_sample(draw):
+    """(S, config): a seeded spiked sample, p <= 60, at a penalty around its plug-in value."""
+    p, k = draw(st.integers(20, 60)), draw(st.sampled_from([1, 2]))
+    model = gen_spiked(p, k, range(draw(st.integers(max(k, 2), 8))), (3.0, 2.0)[:k], 1.0,
+                       draw(st.integers(0, 999)))
+    n = draw(st.integers(200, 4000))
+    s = sample_covariance(sample_gaussian(model, n, draw(st.integers(0, 10**6))))
+    _, alpha = check_lcc(model.Sigma, k, model.J)
+    plug_in = (3.0 * float(eig_sym(s).eigenvalues[0]) / alpha) * math.sqrt(math.log(p) / n)
+    return s, SolverConfig(k=k, rho=draw(st.floats(0.5, 2.0)) * plug_in)
+
+
+def solve_or_partial(s, cfg):
+    try:
+        return solve_fps(s, cfg)
+    except NotConverged as e:
+        return e.solution
+
+
+class TestScreenedSolve:
+    """A cold penalized solve answers on the screened block when a p x p KKT report certifies it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spiked_sample())
+    def test_same_answer_as_the_full_loop(self, case):
+        s, cfg = case
+        p = s.dim
+        sol = solve_or_partial(s, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            full_loop_only(mp)
+            loop = solve_or_partial(s, cfg)
+        assert loop.working_set == p
+        if sol.working_set == p:
+            npt.assert_array_equal(sol.H.entries, loop.H.entries)
+            npt.assert_array_equal(sol.Z, loop.Z)
+            assert (sol.objective, sol.iters) == (loop.objective, loop.iters)
+            return
+        assert sol.support == loop.support
+        assert np.linalg.norm(sol.H.entries - loop.H.entries) <= 1e-4
+        assert sol.objective >= loop.objective - 1e-6
+        assert_gate10_kkt(s.entries, sol, cfg.rho)
+
+    def test_slow_loop_sample(self):
+        # p=200, n=2000, sample seed 505: the full loop takes 4603 iterations
+        # (about 27 s); its screened 5-row block about 280
+        model = gen_spiked(200, 2, range(5), (3, 2), 1, 1)
+        _, alpha = check_lcc(model.Sigma, 2, model.J)
+        s = sample_covariance(sample_gaussian(model, 2000, 505))
+        rho = (3.0 * float(eig_sym(s).eigenvalues[0]) / alpha) * math.sqrt(math.log(200) / 2000)
+        sol = solve_fps(s, SolverConfig(k=2, rho=rho))
+        assert sol.support.indices == tuple(range(5))
+        assert sol.working_set == 5 and sol.iters <= 500
+        assert_gate10_kkt(s.entries, sol, rho)
+
+    def test_fill_off_the_block_is_s_over_rho(self):
+        s, cfg = bench_case()
+        sol = solve_fps(s, cfg)
+        rows = fantope.solver._screen(s, cfg.rho, cfg.k)
+        assert sol.working_set == rows.size < s.shape[0] // 4
+        off = np.ones(s.shape, dtype=bool)
+        off[np.ix_(rows, rows)] = False
+        fill = s / cfg.rho
+        np.fill_diagonal(fill, 0.0)
+        npt.assert_array_equal(sol.Z[off], fill[off])
+        assert np.all(sol.H.entries[off] == 0.0)
+        assert sol.dual_clip_excess <= 1e-6
+
+    def test_refused_certificate_falls_back(self, monkeypatch):
+        # rows 1-3 are the only correlated ones, but variable 0's variance
+        # outweighs their block: the block's answer is refused
+        s = np.eye(20)
+        s[0, 0] = 5.0
+        s[1:4, 1:4] += 0.5
+        cfg = SolverConfig(k=1, rho=0.2)
+        assert fantope.solver._screen(s, cfg.rho, cfg.k).tolist() == [1, 2, 3]
+        sol = solve_fps(s, cfg)
+        assert sol.working_set == 20 and sol.support.indices == (0,)
+        full_loop_only(monkeypatch)
+        loop = solve_fps(s, cfg)
+        npt.assert_array_equal(sol.H.entries, loop.H.entries)
+        assert sol.iters == loop.iters
+
+    def test_unconverged_block_falls_back(self):
+        s, cfg = bench_case()
+        with pytest.raises(NotConverged) as exc:
+            solve_fps(s, cfg.with_(max_iters=10))
+        assert exc.value.solution.working_set == s.shape[0]
+        assert exc.value.solution.iters == 10
+
+    @pytest.mark.parametrize("warm, rho", [(True, 0.38), (False, 0.0)], ids=["warm", "rho0"])
+    def test_warm_and_unpenalized_solves_take_the_full_loop(self, warm, rho):
+        s, cfg = spiked_case()
+        cfg = cfg.with_(rho=rho)
+        start = resume_state(solve_fps(s, cfg), cfg) if warm else None
+        assert solve_fps(s, cfg, warm=start).working_set == s.shape[0]
 
 
 class TestDualRecovery:
