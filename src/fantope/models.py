@@ -4,15 +4,17 @@ Each generator returns a ModelInstance carrying the population covariance,
 its top-k projector, the true support, and the eigengap, so experiments can
 score support recovery and subspace error against ground truth.
 
-Gaussian draws stream: sample_gaussian takes its N(0, I) rows in blocks of
-about 1 MiB from one seeded generator and keeps only their merged mean and
-centred scatter (the pairwise update of Chan, Golub & LeVeque, 1983), and
-sample_covariance colours that scatter once with the model's Sigma^{1/2}.
-A draw holds O(p^2 + block * p) memory and takes no eigendecomposition.
+Gaussian draws keep only what FPS reads.  The centred scatter of n
+N(0, I_p) rows is Wishart_p(n - 1, I), so sample_gaussian draws it directly
+by the Bartlett decomposition (Bartlett, 1933): W = R^T R with R the
+m x p upper trapezoid, m = min(n - 1, p), R_ii = sqrt(chi^2_{n-1-i}) and
+N(0, 1) above the diagonal, the R factor of an (n - 1) x p Gaussian.
+sample_covariance colours it once with the model's Sigma^{1/2}.  A draw
+takes about p^2 / 2 variates, one p x p product and O(p^2) memory,
+whatever n is, and no eigendecomposition.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,11 +50,11 @@ class ModelInstance:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """n i.i.d. rows drawn from a model, held as their white moments.
+    """n i.i.d. draws from a model, held as their white centred scatter.
 
-    scatter is the centred scatter sum_i (z_i - zbar)(z_i - zbar)^T of the
-    N(0, I) rows z_i; the rows themselves, X = Z root with shape (n, p), are
-    regenerated from the seed when X is first read.
+    scatter is sum_i (z_i - zbar)(z_i - zbar)^T for n N(0, I) rows z_i,
+    drawn directly as a Wishart_p(n - 1, I) variate; the rows themselves
+    are never drawn, and root colours the scatter into the sample's.
     """
 
     n: int
@@ -60,10 +62,6 @@ class SampleBatch:
     seed: int
     root: np.ndarray = field(repr=False, compare=False)
     scatter: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def X(self):
-        return np.random.default_rng(self.seed).normal(size=(self.n, self.p)) @ self.root
 
 
 # ===== generators =====
@@ -186,48 +184,29 @@ def gen_planted_clique(p, s, seed):
 
 # ===== sampling =====
 
-# about 1 MiB of N(0, I) rows per block: large enough that the per-block
-# products dominate the loop, small next to the (n, p) draw it replaces
-_BLOCK_BYTES = 1 << 20
-
-
-def _block_rows(p):
-    return max(1, _BLOCK_BYTES // (8 * p))
-
-
 def _moments(x):
-    """(count, mean, centred scatter) of the rows of x, in two passes."""
-    mean = x.mean(axis=0, keepdims=True)
-    xc = x - mean
-    return x.shape[0], mean, xc.T @ xc
-
-
-def _merge(a, b):
-    """Moments of the union of two row sets (Chan, Golub & LeVeque); reuses a's scatter."""
-    na, ma, ca = a
-    nb, mb, cb = b
-    n = na + nb
-    d = mb - ma
-    ca += cb
-    ca += (na * nb / n) * (d.T @ d)
-    return n, ma + (nb / n) * d, ca
+    """(count, centred scatter) of the rows of x, in two passes."""
+    xc = x - x.mean(axis=0, keepdims=True)
+    return x.shape[0], xc.T @ xc
 
 
 def sample_gaussian(model, n, seed):
-    """n i.i.d. rows from N(0, Sigma), reproducible for a given seed.
+    """n i.i.d. draws from N(0, Sigma), reproducible for a given seed.
 
-    The white rows are drawn block by block from default_rng(seed), the
-    stream a single (n, p) draw would read, and only their merged moments
-    are kept; no (n, p) array is held.
+    The white centred scatter is drawn as one Wishart_p(n - 1, I) variate
+    by the Bartlett decomposition (see the module docstring): default_rng(seed)
+    gives the N(0, 1) entries above the diagonal of R, row by row, then the
+    chi-square diagonal.  It has rank min(n - 1, p).
     """
     n, seed = _integer("n", n, least=2), _integer("seed", seed, least=0)
-    p, rows = model.dim, _block_rows(model.dim)
+    p = model.dim
+    m = min(n - 1, p)
     rng = np.random.default_rng(seed)
-    acc = None
-    for start in range(0, n, rows):
-        block = _moments(rng.normal(size=(min(rows, n - start), p)))
-        acc = block if acc is None else _merge(acc, block)
-    scatter = acc[2]
+    r = np.zeros((m, p))
+    above = np.triu(np.ones((m, p), dtype=bool), 1)
+    r[above] = rng.normal(size=m * p - m * (m + 1) // 2)
+    r[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - 1 - np.arange(m)))
+    scatter = r.T @ r
     scatter.flags.writeable = False
     return SampleBatch(n=n, p=p, seed=seed, root=model.root, scatter=scatter)
 
@@ -235,12 +214,13 @@ def sample_gaussian(model, n, seed):
 def sample_covariance(batch):
     """Centered sample covariance with 1/n normalization.
 
-    A SampleBatch is coloured once, S = root (C / n) root, from the white
-    scatter C; any other object with rows .X is one block of its own.
+    A SampleBatch is coloured once, S = root (W / n) root, from its white
+    scatter W; any other object with rows .X gives the plain two-pass
+    covariance of those rows.
     """
     if isinstance(batch, SampleBatch):
         return SymMat.from_array(batch.root @ (batch.scatter / batch.n) @ batch.root)
-    n, _, scatter = _moments(np.asarray(batch.X, dtype=float))
+    n, scatter = _moments(np.asarray(batch.X, dtype=float))
     return SymMat.from_array(scatter / n)
 
 

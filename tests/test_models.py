@@ -7,7 +7,7 @@ import pytest
 from fantope.diagnostics import check_sps
 from fantope.errors import InvalidInput
 from fantope.models import (
-    _block_rows,
+    SampleBatch,
     entrywise_error,
     gen_planted_clique,
     gen_spiked,
@@ -17,7 +17,7 @@ from fantope.models import (
     sample_gaussian,
     save_matrix_csv,
 )
-from oracles import gaussian_rows, two_pass_covariance
+from oracles import Rows, gaussian_rows, two_pass_covariance
 from test_solver import count_linalg
 
 PAIR_PROJECTOR = np.array([
@@ -154,20 +154,22 @@ class TestSampling:
         m = gen_toy(0.0)
         a = sample_gaussian(m, 50, seed=2)
         b = sample_gaussian(m, 50, seed=2)
-        npt.assert_array_equal(a.X, b.X)
-        assert a.X.shape == (50, 3)
+        npt.assert_array_equal(a.scatter, b.scatter)
+        assert a.scatter.shape == (3, 3)
+        assert np.max(np.abs(a.scatter - sample_gaussian(m, 50, seed=3).scatter)) > 1e-6
 
     def test_two_point_covariance(self):
-        # rows x and -x have zero mean; S = x x^T exactly
+        # two rows z1, z2 have scatter w w^T with w = (z1 - z2)/sqrt2, so
+        # S = root (w w^T / 2) root = y y^T with y = root w / sqrt2
         m = gen_toy(0.0)
         batch = sample_gaussian(m, 2, seed=0)
-        x = batch.X[0]
-        batch_sym = SampleLike(np.vstack([x, -x]))
-        s = sample_covariance(batch_sym)
-        npt.assert_allclose(s.entries, np.outer(x, x), atol=1e-12)
+        e, v = np.linalg.eigh(batch.scatter)
+        assert np.all(np.abs(e[:-1]) <= 1e-12 * e[-1])
+        y = m.root @ v[:, -1] * np.sqrt(e[-1] / 2.0)
+        npt.assert_allclose(sample_covariance(batch).entries, np.outer(y, y), atol=1e-12)
 
     def test_hand_computed_small_case(self):
-        s = sample_covariance(SampleLike(np.array([[1.0, 0.0], [0.0, 0.0]])))
+        s = sample_covariance(Rows(np.array([[1.0, 0.0], [0.0, 0.0]])))
         npt.assert_allclose(s.entries, [[0.25, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_covariance_consistency(self):
@@ -180,9 +182,8 @@ class TestSampling:
             sample_gaussian(gen_toy(0.0), 1, seed=0)
 
 
-# the benchmark's p=200 spiked model and the row count of one sampling block
+# the benchmark's p=200 spiked model
 BENCH_P = 200
-BLOCK = _block_rows(BENCH_P)
 
 
 @pytest.fixture(scope="module")
@@ -190,21 +191,77 @@ def bench_model():
     return gen_spiked(BENCH_P, 2, range(5), (3.0, 2.0), 1.0, 12)
 
 
-@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 8000])
+# two rows, three mid sizes and the benchmark's n
+@pytest.mark.parametrize("n", [2, 654, 655, 656, 8000])
 class TestStreamedSampling:
+    """The rows path, and the colouring of a white scatter into a sample covariance."""
+
     def test_rows_are_the_one_shot_draw(self, bench_model, n):
-        batch = sample_gaussian(bench_model, n, seed=10000)
-        npt.assert_array_equal(batch.X, gaussian_rows(bench_model.Sigma.entries, n, 10000))
+        # the oracle's rows, the fixed inputs of seed-specific tests, are the
+        # one-shot white draw coloured by the model's own root
+        white = np.random.default_rng(10000).normal(size=(n, BENCH_P))
+        npt.assert_array_equal(gaussian_rows(bench_model.Sigma.entries, n, 10000),
+                               white @ bench_model.root)
 
     def test_streamed_covariance_matches_two_pass(self, bench_model, n):
-        batch = sample_gaussian(bench_model, n, seed=10000)
-        ref = two_pass_covariance(batch.X)
+        # colouring the white rows' scatter once is the coloured rows' covariance
+        white = np.random.default_rng(10000).normal(size=(n, BENCH_P))
+        scatter = n * two_pass_covariance(white)
+        batch = SampleBatch(n=n, p=BENCH_P, seed=10000, root=bench_model.root, scatter=scatter)
+        ref = two_pass_covariance(white @ bench_model.root)
         s = sample_covariance(batch).entries
         assert np.max(np.abs(s - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_row_batch_is_the_two_pass_result(self, bench_model, n):
         x = gaussian_rows(bench_model.Sigma.entries, n, 10000)
-        npt.assert_array_equal(sample_covariance(SampleLike(x)).entries, two_pass_covariance(x))
+        npt.assert_array_equal(sample_covariance(Rows(x)).entries, two_pass_covariance(x))
+
+
+def wishart_draws(p, n, draws):
+    model = gen_spiked(p, 1, range(2), (1.0,), 1.0, 0)
+    return np.array([sample_gaussian(model, n, seed).scatter for seed in range(draws)])
+
+
+class TestWishartScatter:
+    """The white scatter of n N(0, I_p) rows is Wishart_p(n - 1, I), singular when n - 1 < p."""
+
+    @pytest.mark.parametrize("p, n", [(4, 7), (6, 4)])
+    def test_moments_are_wishart(self, p, n):
+        # E W = (n-1) I, Var W_ii = 2(n-1), Var W_ij = n-1, each within 5 standard errors
+        w = wishart_draws(p, n, 20000)
+        dof, count = n - 1, w.shape[0]
+        mean = w.mean(axis=0)
+        dev2 = (w - mean) ** 2
+        var = dev2.mean(axis=0)
+        se_mean = w.std(axis=0) / np.sqrt(count)
+        se_var = dev2.std(axis=0) / np.sqrt(count)
+        diag, off = np.eye(p, dtype=bool), ~np.eye(p, dtype=bool)
+        assert np.all(np.abs(mean - dof * np.eye(p)) <= 5.0 * se_mean)
+        assert np.all(np.abs(var[diag] - 2.0 * dof) <= 5.0 * se_var[diag])
+        assert np.all(np.abs(var[off] - dof) <= 5.0 * se_var[off])
+
+    @pytest.mark.parametrize("p, n", [(4, 7), (6, 4), (5, 2), (5, 6), (200, 8000)])
+    def test_rank_is_min_of_dof_and_p(self, p, n):
+        w = wishart_draws(p, n, 3)
+        for x in w:
+            assert np.linalg.matrix_rank(x) == min(n - 1, p)
+
+    @pytest.mark.parametrize("p, n", [(6, 4), (200, 8000)])
+    def test_symmetric_positive_semidefinite(self, p, n):
+        for x in wishart_draws(p, n, 3):
+            npt.assert_array_equal(x, x.T)
+            assert np.linalg.eigvalsh(x)[0] >= -1e-12 * np.max(np.abs(x))
+
+    def test_huge_n_draw_peaks_below_1mb(self, bench_model):
+        # the cost of a draw does not grow with n
+        tracemalloc.start()
+        try:
+            batch = sample_gaussian(bench_model, 10**9, seed=10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert np.all(np.isfinite(batch.scatter))
 
 
 class TestSamplingCost:
@@ -247,7 +304,7 @@ class TestIntegerArguments:
     def test_integer_valued_floats_are_stored_as_int(self):
         batch = sample_gaussian(gen_toy(0.0), 10.0, 3.0)
         assert (batch.n, batch.seed) == (10, 3) and type(batch.n) is int
-        npt.assert_array_equal(batch.X, sample_gaussian(gen_toy(0.0), 10, 3).X)
+        npt.assert_array_equal(batch.scatter, sample_gaussian(gen_toy(0.0), 10, 3).scatter)
         assert gen_spiked(10.0, 1, range(5), (2.0,), 1.0, 0.0).params["p"] == 10
 
 
@@ -264,13 +321,6 @@ class TestRealArguments:
     def test_rejected_as_invalid_input(self, call):
         with pytest.raises(InvalidInput):
             call()
-
-
-class SampleLike:
-    def __init__(self, x):
-        self.X = x
-        self.n, self.p = x.shape
-        self.seed = 0
 
 
 class TestMatrixCsv:

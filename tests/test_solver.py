@@ -34,7 +34,8 @@ from fantope.solver import (
     uniqueness_probe,
 )
 from fantope.spectral import FantopePoint, as_sym, eig_sym, top_k_projector
-from oracles import grid_solve_2x2, l1_level_bisect, penalized_objective, random_feasible_point
+from oracles import (Rows, gaussian_rows, grid_solve_2x2, l1_level_bisect, penalized_objective,
+                     random_feasible_point)
 
 TOY = gen_toy(0.0).Sigma.entries
 
@@ -43,11 +44,20 @@ def toy_case():
     return TOY, SolverConfig(k=1, rho=0.1)
 
 
+def row_sample(model, n, seed):
+    """S of the one-shot rows oracles.gaussian_rows(Sigma, n, seed), through the rows path.
+
+    A fixed input for tests that quote a behaviour of one particular sample:
+    it does not follow sample_gaussian's draw.
+    """
+    return sample_covariance(Rows(gaussian_rows(model.Sigma.entries, n, seed)))
+
+
 def spiked_case():
     # seeded p=50 spiked sample; 0.38 is the plug-in penalty
     # (3 lambda_1 / alpha) sqrt(log p / n) of this sample, rounded
     model = gen_spiked(50, 2, range(5), (3.0, 2.0), 1.0, 12)
-    s = sample_covariance(sample_gaussian(model, 4000, 3)).entries
+    s = row_sample(model, 4000, 3).entries
     return s, SolverConfig(k=2, rho=0.38)
 
 
@@ -304,9 +314,11 @@ class TestSolutionFromLastProjection:
     def test_one_eigvalsh_per_solve(self, monkeypatch, tau):
         s, cfg = spiked_case()
         calls = count_linalg(monkeypatch, "eigvalsh")
-        solve_fps(s, cfg.with_(tau_en=tau))
+        sol = solve_fps(s, cfg.with_(tau_en=tau))
         monkeypatch.undo()
-        assert calls == [s.shape]  # its KKT report's
+        # its KKT report's, of the screened block's order when the block answered
+        assert sol.working_set < s.shape[0]
+        assert calls == [(sol.working_set, sol.working_set)]
 
     @staticmethod
     def assert_certified(sol):
@@ -375,6 +387,29 @@ class TestRitzStep:
         full = solve_fps(s, cfg)
         assert sol.iters == full.iters
         assert sol.support == full.support
+
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_refusals_back_off(self, monkeypatch, trial):
+        # `fps clique --p 200 --s 40 --seed 1`: nearly every Ritz step is
+        # refused, and a try after each refusal would be ~31 per solve
+        p = 200
+        s = gen_planted_clique(p, 40, 1_000_003 + trial)[1].entries
+        cfg = SolverConfig(k=1, rho=CLIQUE_RHO_MULT * math.sqrt(math.log(p) / (p - 1)),
+                           support_tol=1e-3)
+        real, refused = fantope.solver._ritz_project, []
+
+        def recording(*args):
+            out = real(*args)
+            refused.append(out is None)
+            return out
+
+        monkeypatch.setattr(fantope.solver, "_ritz_project", recording)
+        sol = solve_fps(s, cfg)
+        monkeypatch.undo()
+        assert 0 < sum(refused) <= math.log2(sol.iters) + 1
+        full_eigh_only(monkeypatch)
+        full = solve_fps(s, cfg)
+        assert (sol.iters, sol.support) == (full.iters, full.support)
 
     @pytest.mark.parametrize("max_iters", [10, 20000])
     def test_every_exit_is_an_exact_projection(self, monkeypatch, max_iters):
@@ -519,12 +554,28 @@ class TestScreenedSolve:
         assert sol.objective >= loop.objective - 1e-6
         assert_gate10_kkt(s.entries, sol, cfg.rho)
 
+    @settings(max_examples=40, deadline=None)
+    @given(spiked_sample(), st.sampled_from([0.0, 0.5]))
+    def test_block_kkt_report_is_the_full_one(self, case, tau):
+        # a screened report reads the spectrum of the block-diagonal
+        # S - rho Z - tau H off its J0 x J0 block; the p x p route agrees
+        s, cfg = case
+        cfg = cfg.with_(tau_en=tau)
+        sol = solve_or_partial(s, cfg)
+        full = fantope.solver._kkt_arrays(s.entries, sol.H.entries, sol.Z, cfg.rho, cfg.k,
+                                          cfg.support_tol, sol.primal_residual, tau)
+        tol = 1e-12 * (1.0 + abs(sol.objective))
+        assert (sol.kkt.sign_mismatch, sol.kkt.dual_bound_violation) == (
+            full.sign_mismatch, full.dual_bound_violation)
+        assert abs(sol.kkt.fantope_optimality_gap - full.fantope_optimality_gap) <= tol
+        assert abs(sol.kkt.eigengap - full.eigengap) <= tol
+
     def test_slow_loop_sample(self):
         # p=200, n=2000, sample seed 505: the full loop takes 4603 iterations
         # (about 27 s); its screened 5-row block about 280
         model = gen_spiked(200, 2, range(5), (3, 2), 1, 1)
         _, alpha = check_lcc(model.Sigma, 2, model.J)
-        s = sample_covariance(sample_gaussian(model, 2000, 505))
+        s = row_sample(model, 2000, 505)
         rho = (3.0 * float(eig_sym(s).eigenvalues[0]) / alpha) * math.sqrt(math.log(200) / 2000)
         sol = solve_fps(s, SolverConfig(k=2, rho=rho))
         assert sol.support.indices == tuple(range(5))
@@ -720,7 +771,7 @@ class TestConstrainedSolve:
         # started at step ||S||_2 this resample takes 519 iterations; started
         # at step 1 it takes 3965
         model = gen_spiked(50, 1, range(5), (2.0,), 1.0, 8)
-        s = sample_covariance(sample_gaussian(model, 2000, 930))
+        s = row_sample(model, 2000, 930)
         sol, _ = solve_fps_constrained(s, 2.0, SolverConfig(k=1, max_iters=2000))
         assert sol.iters <= 2000
 
@@ -838,7 +889,7 @@ class TestInvariance:
     @staticmethod
     def sample(seed):
         model = gen_spiked(30, 2, range(5), (3.0, 2.0), 1.0, seed)
-        return sample_covariance(sample_gaussian(model, 2000, seed + 50)).entries
+        return row_sample(model, 2000, seed + 50).entries
 
     @SEEDS
     @pytest.mark.parametrize("tau", [0.0, 2.0])
