@@ -55,12 +55,7 @@ is accepted only if
     the projection errors are summable and the splitting step stays
     convergent (Eckstein & Bertsekas 1992).
 A refused step falls back to the full eigh, whose input becomes the new
-M_ref.  The step is tried again at the next iteration, but each further
-refusal in a row skips the tries of the next 1, 2, 4, ... iterations (an
-accepted step resets this back-off), so an input on which the step keeps
-failing pays about log2(iterations) wasted tries, not one per iteration
-(planted cliques at s=40: 6 against 31 at 33 iterations); with 4r > p the
-loop always takes the full eigh.  Every exit
+M_ref; with 4r > p the loop always takes the full eigh.  Every exit
 (converged, stalled or out of iterations) leaves from an exact
 projection: an iteration whose Ritz step meets a stopping rule is redone
 exactly, so H, its constraint residual and the KKT report certify the
@@ -348,18 +343,12 @@ def _loop(s, k, cfg, warm=None, eig=None, budget=None):
     window = 1000
     hist = np.empty(window)  # max(r_p, r_d) of the last window iterations, cyclic
     ref = None  # (M_ref, lambda_{r+1}(M_ref), tracked top-r block) for the Ritz step
-    # back-off: after a refused Ritz step the next `wait` iterations skip
-    # their try; wait is 0, 1, 2, 4, ... over refusals in a row, and an
-    # accepted step resets it
-    wait, backoff = 0, 0
     for it in range(1, cfg.max_iters + 1):
         m = y - u
         m *= shrink
         m += s_scaled
-        ritz = ref is not None and wait == 0
-        wait = max(wait - 1, 0)
-        # a Ritz step when one is tracked and due, else (or on refusal, or to exit) the full eigh
-        for exact in (not ritz, True):
+        # a Ritz step when one is tracked, else (or on refusal, or to exit) the full eigh
+        for exact in (ref is None, True):
             if exact:
                 h, _, gamma, v, g = _project(m, k, cold)
                 cold = None
@@ -370,9 +359,7 @@ def _loop(s, k, cfg, warm=None, eig=None, budget=None):
                 step = _ritz_project(m, k, v, lam_ref + float(np.linalg.norm(m - m_ref)),
                                      _RITZ_RES_FRAC * min(r_p, r_d))
                 if step is None:
-                    wait, backoff = backoff, max(1, 2 * backoff)
                     continue
-                backoff = 0
                 h, v, g = step
                 ref = (m_ref, lam_ref, v)
             # H_rel + U is the Y-step's input; less Y_new, it is the new multiplier

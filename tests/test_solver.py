@@ -388,29 +388,6 @@ class TestRitzStep:
         assert sol.iters == full.iters
         assert sol.support == full.support
 
-    @pytest.mark.parametrize("trial", [0, 1])
-    def test_refusals_back_off(self, monkeypatch, trial):
-        # `fps clique --p 200 --s 40 --seed 1`: nearly every Ritz step is
-        # refused, and a try after each refusal would be ~31 per solve
-        p = 200
-        s = gen_planted_clique(p, 40, 1_000_003 + trial)[1].entries
-        cfg = SolverConfig(k=1, rho=CLIQUE_RHO_MULT * math.sqrt(math.log(p) / (p - 1)),
-                           support_tol=1e-3)
-        real, refused = fantope.solver._ritz_project, []
-
-        def recording(*args):
-            out = real(*args)
-            refused.append(out is None)
-            return out
-
-        monkeypatch.setattr(fantope.solver, "_ritz_project", recording)
-        sol = solve_fps(s, cfg)
-        monkeypatch.undo()
-        assert 0 < sum(refused) <= math.log2(sol.iters) + 1
-        full_eigh_only(monkeypatch)
-        full = solve_fps(s, cfg)
-        assert (sol.iters, sol.support) == (full.iters, full.support)
-
     @pytest.mark.parametrize("max_iters", [10, 20000])
     def test_every_exit_is_an_exact_projection(self, monkeypatch, max_iters):
         # converged or out of iterations, H is the output of the last full
