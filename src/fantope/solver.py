@@ -69,26 +69,28 @@ eigh (two Weyl refreshes and the exact finish) once S's spectrum is known
 1.6 ms per iteration instead of 6.1 (numpy 2.4 with OpenBLAS at one
 thread on a 2-core x86_64 host).
 
-A cold penalized solve (no warm start, rho > 0) first screens, in the
+Every penalized solve (rho > 0), warm or cold, first screens, in the
 manner of the strong rules (Tibshirani et al., JRSS-B 2012) and of exact
 covariance thresholding (Mazumder & Hastie, JMLR 2012).  J0 is the set of
 rows with an off-diagonal |S_ij| > rho, topped up with the k rows of
 largest diagonal when it holds fewer than k.  When 4 |J0| <= p the loop
-runs on S[J0, J0] alone, and its answer is filled in to p x p as in Lei &
-Vu's primal-dual witness: H is the block's projection embedded in zeros,
-Z on J0 x J0 is the block's multiplier, and Z elsewhere is S/rho with a
-zero diagonal.  Every entry outside J0 x J0 lies in a row or a column
+runs on S[J0, J0] alone, from a warm start restricted to J0 x J0 when one
+is given, and its answer is filled in to p x p as in Lei & Vu's
+primal-dual witness: H is the block's projection embedded in zeros, Z on
+J0 x J0 is the block's multiplier, and Z elsewhere is S/rho with a zero
+diagonal.  Every entry outside J0 x J0 lies in a row or a column
 outside J0, so |S_ij| <= rho there: the fill sits in [-1, 1] without a
 clip, it is a subgradient of |H_ij| = 0, and S - rho Z is block-diagonal
 (the block's gradient on J0, diag(S) off it), so the KKT report reads its
 spectrum off the |J0| x |J0| block merged with that diagonal.  The answer
 stands when the report certifies it, fantope_optimality_gap <=
 eps sqrt(p) (1 + |objective|): H then maximizes <S - rho Z, .> over the
-Fantope, so the pair is optimal for the full problem.  A refused
-certificate, or a block run that stalls or runs out of iterations, falls
-back to the full cold loop.  On the p=200 bench samples J0 is the 5-row
-support and a solve takes 5-10 ms instead of 40-60 (same host); a planted
-clique screens nothing (|J0| = p) and keeps the full loop.
+Fantope, so the pair is optimal for the full problem.  The certificate
+does not depend on where the loop started, so the one rule serves warm and
+cold solves alike.  A refused certificate, or a block run that stalls or
+runs out of iterations, falls back to the full loop, from the warm start
+when one was given.  On the p=200 bench samples J0 is the 5-row support; a
+planted clique screens nothing (|J0| = p) and keeps the full loop.
 """
 
 from dataclasses import dataclass, replace
@@ -164,7 +166,9 @@ class FpsSolution:
     (W_ii = 1 = sign(H_ii) wherever H_ii > 0, and |W_ii| <= 1 where it is
     zero), and the penalty only shifts S - rho W by the constant rho * k.
     So (H, H, (rho/step) * (Z + I)) is a valid warm start (H, Y, U) that
-    resumes the splitting iteration from this solution.
+    resumes the splitting iteration from this solution; restricted to
+    J0 x J0 it resumes the screened block, so a resume the screen admits
+    answers there.
 
     working_set is the order of the loop that produced the answer: |J0| when
     the screened block answered (Z off J0 x J0 is then S/rho), p for the
@@ -379,11 +383,13 @@ def _loop(s, k, cfg, warm=None, eig=None, budget=None):
                 ratios = hist / tol  # in order: it % window == 0
                 half = window // 2
                 stalled = bool(ratios[half:].min() > 0.995 * ratios[:half].min())
+            done = converged or stalled or it == cfg.max_iters
             # every exit leaves from an exact projection: redo a Ritz step that would stop
-            if exact or not (converged or stalled or it == cfg.max_iters):
+            if exact or not done:
                 break
         y, u = y_new, u_new
-        if converged or stalled:
+        # the last iteration leaves before a rebalance could rescale the U it reports
+        if done:
             break
         if budget is not None and it % _BALANCE_EVERY == 0:
             # residual balancing: double or halve the step while one residual
@@ -424,34 +430,6 @@ def _read_out(s, k, cfg, run, h, z_raw, rho, rows=None):
     )
 
 
-def _solve_raw(sym, cfg, warm=None, budget=None):
-    """The full p x p loop on the SymMat S, then its read-out.
-
-    A cold start reads S's retained spectrum.  With a budget R, rho* = step
-    * (the last level) stands in for cfg.rho in Z, the objective and the KKT
-    report.  Returns (solution, the penalty it was read at); a run that
-    stalls or runs out of iterations raises NotConverged with its solution.
-    """
-    s = sym.entries
-    p = s.shape[0]
-    k = _check_order(cfg.k, p)
-    eig = sym.spectrum.ascending() if warm is None else None
-    run = _loop(s, k, cfg, warm, eig, budget)
-    rho = cfg.rho if budget is None else run.sigma * run.level
-    z_raw = (run.sigma / rho) * run.u if rho > 0.0 else None
-    sol = _read_out(s, k, cfg, run, run.h, z_raw, rho)
-    if not run.converged:
-        if run.stalled:
-            msg = (f"progress stalled after {run.iters} iterations "
-                   f"(primal {run.r_p:.3e}, dual {run.r_d:.3e}); the problem is "
-                   "likely degenerate at this penalty")
-        else:
-            msg = (f"splitting solver hit max_iters={cfg.max_iters} "
-                   f"(primal {run.r_p:.3e}, dual {run.r_d:.3e})")
-        raise NotConverged(msg, solution=sol)
-    return sol, rho
-
-
 def _screen(s, rho, k):
     """The rows of s with an off-diagonal entry above rho in magnitude.
 
@@ -472,52 +450,68 @@ def _embed(block, idx, out):
     return out
 
 
-def _screened(sym, cfg):
-    """A cold penalized solve answered on the screened block, or None.
+def _solve_raw(sym, cfg, warm=None, budget=None):
+    """Every solve of the SymMat S: the screened block, else the full p x p loop.
 
-    The loop runs on S[J0, J0], J0 the screen's rows, when 4 |J0| <= p.
-    Its H is embedded in p x p zeros and its multiplier fills Z on J0 x J0;
-    Z elsewhere is S/rho, which the screen keeps inside [-1, 1].  The
-    answer stands when its KKT report certifies it for the full problem;
-    None (refused, or a block run that did not converge) sends the caller to
-    the full loop.
+    A penalized solve (rho > 0, no budget) whose screen keeps 4 |J0| <= p
+    rows first runs the loop on S[J0, J0], from warm restricted to J0 x J0
+    when given.  Its H is embedded in p x p zeros and its multiplier fills Z
+    on J0 x J0; Z elsewhere is S/rho, which the screen keeps inside [-1, 1].
+    That answer stands when its KKT report certifies it for the full
+    problem.  Otherwise (refused, or a block run that did not converge) the
+    full loop runs, from warm or, cold, from S's retained spectrum.
+
+    With a budget R, rho* = step * (the last level) stands in for cfg.rho in
+    Z, the objective and the KKT report.  Returns (solution, the penalty it
+    was read at); a full run that stalls or runs out of iterations raises
+    NotConverged with its solution.
     """
     s = sym.entries
     p = s.shape[0]
     k = _check_order(cfg.k, p)
-    rows = _screen(s, cfg.rho, k)
-    if 4 * rows.size > p:
-        return None
-    run = _loop(s[np.ix_(rows, rows)], k, cfg)
+    if cfg.rho > 0.0 and budget is None:
+        rows = _screen(s, cfg.rho, k)
+        if 4 * rows.size <= p:
+            block = None if warm is None else [a[np.ix_(rows, rows)] for a in warm]
+            run = _loop(s[np.ix_(rows, rows)], k, cfg, block)
+            if run.converged:
+                h = _embed(run.h, rows, np.zeros((p, p)))
+                z_raw = _embed((run.sigma / cfg.rho) * run.u, rows, s / cfg.rho)
+                sol = _read_out(s, k, cfg, run, h, z_raw, cfg.rho, rows)
+                tol = cfg.eps * np.sqrt(p) * (1.0 + abs(sol.objective))
+                if sol.kkt.fantope_optimality_gap <= tol:
+                    return sol, cfg.rho
+    eig = sym.spectrum.ascending() if warm is None else None
+    run = _loop(s, k, cfg, warm, eig, budget)
+    rho = cfg.rho if budget is None else run.sigma * run.level
+    z_raw = (run.sigma / rho) * run.u if rho > 0.0 else None
+    sol = _read_out(s, k, cfg, run, run.h, z_raw, rho)
     if not run.converged:
-        return None
-    h = _embed(run.h, rows, np.zeros((p, p)))
-    z_raw = _embed((run.sigma / cfg.rho) * run.u, rows, s / cfg.rho)
-    sol = _read_out(s, k, cfg, run, h, z_raw, cfg.rho, rows)
-    if sol.kkt.fantope_optimality_gap > cfg.eps * np.sqrt(p) * (1.0 + abs(sol.objective)):
-        return None
-    return sol
+        if run.stalled:
+            msg = (f"progress stalled after {run.iters} iterations "
+                   f"(primal {run.r_p:.3e}, dual {run.r_d:.3e}); the problem is "
+                   "likely degenerate at this penalty")
+        else:
+            msg = (f"splitting solver hit max_iters={cfg.max_iters} "
+                   f"(primal {run.r_p:.3e}, dual {run.r_d:.3e})")
+        raise NotConverged(msg, solution=sol)
+    return sol, rho
 
 
 def solve_fps(s, config, warm=None):
     """Penalized Fantope solve; tau_en > 0 makes it strongly concave.
 
-    A cold solve at rho > 0 first tries the screened block (see the module
-    docstring) and runs the full loop only when its answer is not certified.
-    warm is an optional (H, Y, U) triple of finite p x p arrays to resume
-    from; anything else raises InvalidInput.  Raises NotConverged (carrying
-    the partial solution) if the iteration budget runs out or progress
-    stalls.
+    At rho > 0 the solve first tries the screened block (see the module
+    docstring), warm or cold, and runs the full loop only when its answer is
+    not certified.  warm is an optional (H, Y, U) triple of finite p x p
+    arrays to resume from; anything else raises InvalidInput.  Raises
+    NotConverged (carrying the partial solution) if the iteration budget
+    runs out or progress stalls.
     """
     sym = as_sym(s)
     if warm is not None:
         warm = _warm_triple(warm, sym.dim)
-    elif config.rho > 0.0:
-        sol = _screened(sym, config)
-        if sol is not None:
-            return sol
-    sol, _ = _solve_raw(sym, config, warm)
-    return sol
+    return _solve_raw(sym, config, warm)[0]
 
 
 def _warm_triple(warm, p):
@@ -593,14 +587,16 @@ def uniqueness_probe(s, config, solution=None):
     (Frobenius) certifies uniqueness; a collapsed gap raises GapCollapsed.
 
     The second route resumes from the first route's answer, the triple
-    (H, H, (rho/step)(Z + I)).  When H is the rank-k projector of S - rho Z,
-    subtracting tau H with tau < gap keeps it the top-k projector, so the
-    triple is an exact fixed point of the elastic-net iteration and the
-    resumed solve stops within an iteration or two.  Otherwise the iterates
-    move away from it.  Either way the elastic-net problem is strongly
-    concave, its maximizer is unique and the iteration converges to it from
-    any start, so the warm start changes the iteration count, not the limit
-    the first route is compared with.
+    (H, H, (rho/step)(Z + I)), on the screened block like any solve: when
+    the screen keeps 4 |J0| <= p rows it runs on the triple restricted to
+    J0 x J0 and answers there once certified.  When H is the rank-k
+    projector of S - rho Z, subtracting tau H with tau < gap keeps it the
+    top-k projector, so the triple is an exact fixed point of the
+    elastic-net iteration and the resumed solve stops within an iteration
+    or two.  Otherwise the iterates move away from it.  Either way the
+    elastic-net problem is strongly concave, its maximizer is unique and the
+    iteration converges to it from any start, so the warm start changes the
+    iteration count, not the limit the first route is compared with.
 
     A handed `solution` whose order k or dimension differs from the
     problem's raises InvalidInput; it is returned as the first route.

@@ -191,9 +191,9 @@ def bench_model():
     return gen_spiked(BENCH_P, 2, range(5), (3.0, 2.0), 1.0, 12)
 
 
-# two rows, three mid sizes and the benchmark's n
-@pytest.mark.parametrize("n", [2, 654, 655, 656, 8000])
-class TestStreamedSampling:
+# two rows and the benchmark's n
+@pytest.mark.parametrize("n", [2, 8000])
+class TestRowsPathAndColouring:
     """The rows path, and the colouring of a white scatter into a sample covariance."""
 
     def test_rows_are_the_one_shot_draw(self, bench_model, n):
@@ -203,7 +203,7 @@ class TestStreamedSampling:
         npt.assert_array_equal(gaussian_rows(bench_model.Sigma.entries, n, 10000),
                                white @ bench_model.root)
 
-    def test_streamed_covariance_matches_two_pass(self, bench_model, n):
+    def test_coloured_scatter_matches_two_pass(self, bench_model, n):
         # colouring the white rows' scatter once is the coloured rows' covariance
         white = np.random.default_rng(10000).normal(size=(n, BENCH_P))
         scatter = n * two_pass_covariance(white)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fantope.solver
 from fantope.diagnostics import check_lcc, persistence_gap
@@ -98,7 +98,7 @@ def full_eigh_only(monkeypatch):
 
 
 def full_loop_only(monkeypatch):
-    """Make the screen keep every row, so each cold solve runs the full p x p loop."""
+    """Make the screen keep every row, so each solve runs the full p x p loop."""
     monkeypatch.setattr(fantope.solver, "_screen", lambda s, rho, k: np.arange(s.shape[0]))
 
 
@@ -433,8 +433,9 @@ class TestColdStartFromSpectrum:
         n_raw = calls.count(s.shape)
         shared = solve_fps(sym, cfg)
         assert calls.count(s.shape) - n_raw == n_raw - 1
+        decomposed = self.eigh_of_m(s, cfg)
         monkeypatch.undo()
-        for sol in (shared, self.eigh_of_m(s, cfg)):
+        for sol in (shared, decomposed):
             assert sol.iters == raw.iters
             assert sol.support == raw.support
             assert np.linalg.norm(sol.H.entries - raw.H.entries) <= 1e-12
@@ -509,7 +510,7 @@ def solve_or_partial(s, cfg):
 
 
 class TestScreenedSolve:
-    """A cold penalized solve answers on the screened block when a p x p KKT report certifies it."""
+    """A penalized solve answers on the screened block when a p x p KKT report certifies it."""
 
     @settings(max_examples=40, deadline=None)
     @given(spiked_sample())
@@ -594,12 +595,17 @@ class TestScreenedSolve:
         assert exc.value.solution.working_set == s.shape[0]
         assert exc.value.solution.iters == 10
 
-    @pytest.mark.parametrize("warm, rho", [(True, 0.38), (False, 0.0)], ids=["warm", "rho0"])
-    def test_warm_and_unpenalized_solves_take_the_full_loop(self, warm, rho):
+    def test_warm_resume_answers_on_the_block(self):
         s, cfg = spiked_case()
-        cfg = cfg.with_(rho=rho)
-        start = resume_state(solve_fps(s, cfg), cfg) if warm else None
-        assert solve_fps(s, cfg, warm=start).working_set == s.shape[0]
+        cold = solve_fps(s, cfg)
+        again = solve_fps(s, cfg, warm=resume_state(cold, cfg))
+        assert again.working_set == 5 and again.support == cold.support
+        assert np.linalg.norm(again.H.entries - cold.H.entries) <= 1e-6
+        assert again.iters <= 2
+
+    def test_unpenalized_solve_takes_the_full_loop(self):
+        s, cfg = spiked_case()
+        assert solve_fps(s, cfg.with_(rho=0.0)).working_set == s.shape[0]
 
 
 class TestDualRecovery:
@@ -744,6 +750,20 @@ class TestConstrainedSolve:
         assert rep.dual_bound_violation <= 1e-6
         assert rep.fantope_optimality_gap <= 1e-4 * (1.0 + abs(sol.objective))
 
+    @pytest.mark.parametrize("max_iters", [279, 280, 281])
+    def test_partial_is_read_at_its_last_step(self, max_iters):
+        # the step is rebalanced every 20 iterations; one stopped at a multiple
+        # of 20 is read at the step it ran, not at a doubled one (which halved
+        # Z, broke its signs and lowered the objective to 2.485)
+        model = gen_spiked(30, 1, range(5), (2.0,), 1.0, 3)
+        s = row_sample(model, 500, 500000)
+        with pytest.raises(NotConverged) as exc:
+            solve_fps_constrained(s, 3.0, SolverConfig(k=1, max_iters=max_iters))
+        sol = exc.value.solution
+        assert np.max(np.abs(sol.Z)) == pytest.approx(1.0, abs=1e-12)
+        assert sol.kkt.sign_mismatch <= 1e-12
+        assert sol.objective == pytest.approx(2.669, abs=1e-3)
+
     def test_step_scaled_by_the_spectral_norm(self):
         # started at step ||S||_2 this resample takes 519 iterations; started
         # at step 1 it takes 3965
@@ -751,6 +771,20 @@ class TestConstrainedSolve:
         s = row_sample(model, 2000, 930)
         sol, _ = solve_fps_constrained(s, 2.0, SolverConfig(k=1, max_iters=2000))
         assert sol.iters <= 2000
+
+
+def probe_with_resume(s, cfg, sol):
+    """uniqueness_probe handed sol, and the elastic-net resume it solved."""
+    real, resumes = fantope.solver.solve_fps, []
+
+    def recording(*args, **kwargs):
+        resumes.append(real(*args, **kwargs))
+        return resumes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fantope.solver, "solve_fps", recording)
+        probe, _ = uniqueness_probe(s, cfg, solution=sol)
+    return probe, resumes[0]
 
 
 class TestUniquenessProbe:
@@ -805,6 +839,27 @@ class TestUniquenessProbe:
             uniqueness_probe(s, cfg.with_(k=1), solution=sol)
         with pytest.raises(InvalidInput):
             uniqueness_probe(s[:-1, :-1], cfg, solution=sol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spiked_sample())
+    def test_block_resume_agrees_with_the_full_loop(self, case):
+        # the elastic-net resume answers on the screened block like any solve;
+        # forced onto the p x p loop it gives the same verdict
+        s, cfg = case
+        try:
+            sol = solve_fps(s, cfg)
+        except NotConverged:
+            assume(False)
+        assume(sol.kkt.eigengap > fantope.solver._GAP_TIE_TOL)
+        probe, resume = probe_with_resume(s, cfg, sol)
+        assume(resume.working_set < s.dim)
+        with pytest.MonkeyPatch.context() as mp:
+            full_loop_only(mp)
+            full_probe, full_resume = probe_with_resume(s, cfg, sol)
+        assert full_resume.working_set == s.dim
+        assert probe.unique == full_probe.unique
+        assert abs(probe.discrepancy - full_probe.discrepancy) <= 1e-5
+        assert np.linalg.norm(resume.H.entries - full_resume.H.entries) <= 1e-5
 
 
 class TestWarmStart:
