@@ -17,7 +17,7 @@ import numpy as np
 from .base import (SupportSet, _finite_real, _integer, _support_of, as_support,
                    entry_max_norm, l11_norm, row_l2_max)
 from .errors import InvalidInput, SpsViolated
-from .solver import SolverConfig, _embed, solve_fps, solve_fps_constrained
+from .solver import SolverConfig, _check_solution, _embed, solve_fps, solve_fps_constrained
 from .spectral import (FantopePoint, SymMat, _check_order, _top_k, as_sym, eig_sym,
                        procrustes_align)
 
@@ -286,13 +286,14 @@ def frobenius_bound_check(sigma, s, k, j, rho, sol):
     """Frobenius error bound ||H - Pi||_F <= 4*rho*s/gap (up to 1e-6).
 
     The bound's regime needs rho at least the entrywise error
-    ||S - Sigma||_max; the caller owns that choice.  Returns
-    (lhs, rhs, ok).
+    ||S - Sigma||_max; the caller owns that choice.  sol must be an
+    FpsSolution of order k and Sigma's dimension.  Returns (lhs, rhs, ok).
     """
     sym = as_sym(sigma)
     j = _carried(j, k, sym.dim)
     if _finite_real("rho", rho) < 0:
         raise InvalidInput(f"rho={rho} must be non-negative")
+    _check_solution(sol, sym.dim, k)
     pop = _gapped(sym, k)
     lhs = float(np.linalg.norm(sol.H.entries - pop.pi.entries))
     rhs = float(4.0 * rho * len(j) / pop.gap)

@@ -13,7 +13,8 @@ class NumericalFailure(RuntimeError):
 class NotConverged(RuntimeError):
     """Iterative solver hit max_iters before meeting its residual tolerances.
 
-    Carries the partial solution so callers can inspect or resume.
+    Carries the partial solution so callers can inspect it, or resume with
+    solve_fps(s, config, warm=exc.solution).
     """
 
     def __init__(self, message, solution=None):

@@ -63,11 +63,13 @@ answer as an exact iteration would.  A cold start's first iterate,
 M0 = (S + step (k/p) I)/(tau + step), has S's
 eigenvectors, so its exact projection reads the SymMat's retained
 spectrum, shifted and scaled, instead of decomposing M0.  On the p=200
-spiked bench samples a solve takes the same 40-43 iterations with 3 full
+spiked bench samples the full loop (the screen below kept off, as the
+tests' full_loop_only does) takes the same 40-43 iterations with 3 full
 eigh (two Weyl refreshes and the exact finish) once S's spectrum is known
 (the plug-in penalty reads it), instead of one per iteration, and about
 1.6 ms per iteration instead of 6.1 (numpy 2.4 with OpenBLAS at one
-thread on a 2-core x86_64 host).
+thread on a 2-core x86_64 host); those samples now answer on the 5x5
+screened block.
 
 Every penalized solve (rho > 0), warm or cold, first screens, in the
 manner of the strong rules (Tibshirani et al., JRSS-B 2012) and of exact
@@ -162,13 +164,8 @@ class FpsSolution:
     (step/rho) * U, symmetrized and clipped to [-1, 1], with its diagonal
     set to zero.  The diagonal carries nothing: every Fantope point is
     positive semidefinite, so sum_i |H_ii| = trace(H) = k is constant on the
-    feasible set.  For the same reason W = Z + I is also a subgradient
-    (W_ii = 1 = sign(H_ii) wherever H_ii > 0, and |W_ii| <= 1 where it is
-    zero), and the penalty only shifts S - rho W by the constant rho * k.
-    So (H, H, (rho/step) * (Z + I)) is a valid warm start (H, Y, U) that
-    resumes the splitting iteration from this solution; restricted to
-    J0 x J0 it resumes the screened block, so a resume the screen admits
-    answers there.
+    feasible set.  solve_fps(s, config, warm=solution) resumes the
+    splitting iteration from this pair, converged or not.
 
     working_set is the order of the loop that produced the answer: |J0| when
     the screened block answered (Z off J0 x J0 is then S/rho), p for the
@@ -195,6 +192,21 @@ class UniquenessProbe:
     discrepancy: float
     tau: float
     gap: float
+
+
+def _check_solution(sol, p, k=None):
+    """sol, if it is an FpsSolution whose H and Z are finite p x p arrays
+    (H of order k when k is given); anything else raises InvalidInput."""
+    if not (isinstance(sol, FpsSolution) and isinstance(sol.H, FantopePoint)):
+        raise InvalidInput(f"expected an FpsSolution, got {type(sol).__name__}")
+    shapes = getattr(sol.H.entries, "shape", None), getattr(sol.Z, "shape", None)
+    if shapes != ((p, p), (p, p)):
+        raise InvalidInput(f"solution has H and Z of shapes {shapes}; the problem is {p}x{p}")
+    if k is not None and sol.H.k != k:
+        raise InvalidInput(f"solution has order k={sol.H.k}; the problem has k={k}")
+    if not (np.all(np.isfinite(sol.H.entries)) and np.all(np.isfinite(sol.Z))):
+        raise InvalidInput("solution has non-finite entries")
+    return sol
 
 
 def soft_threshold(a, level):
@@ -228,12 +240,13 @@ def _extract_support(h, support_tol, primal_residual):
     return SupportSet(tuple(np.nonzero(d > cut)[0]))
 
 
-def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual, tau=0.0, rows=None):
+def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual, tau, rows):
     """The KKT report of (h, z) on p x p arrays.
 
-    rows, when given, are a screened solve's J0: the gradient S - rho Z -
-    tau H is then block-diagonal by construction, and its spectrum is read
-    off the J0 x J0 block merged with its diagonal off J0.
+    rows are a screened solve's J0, or all of range(p): the gradient
+    S - rho Z - tau H is block-diagonal on them by construction, and its
+    spectrum is read off the rows x rows block merged with its diagonal
+    off rows.
     """
     p = s.shape[0]
     off = ~np.eye(p, dtype=bool)
@@ -253,13 +266,10 @@ def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual, tau=0.0, rows=Non
     if tau:
         grad = grad - tau * h
     grad_sym = 0.5 * (grad + grad.T)
-    if rows is None:
-        w = np.linalg.eigvalsh(grad_sym)
-    else:
-        rest = np.ones(p, dtype=bool)
-        rest[rows] = False
-        w = np.sort(np.concatenate([np.linalg.eigvalsh(grad_sym[np.ix_(rows, rows)]),
-                                    np.diag(grad_sym)[rest]]))
+    rest = np.ones(p, dtype=bool)
+    rest[rows] = False
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(grad_sym[np.ix_(rows, rows)]),
+                                np.diag(grad_sym)[rest]]))
     gap = float(np.sum(w[-k:])) - float(np.sum(grad * h))
     return KktReport(
         sign_mismatch=sign_mismatch,
@@ -278,15 +288,14 @@ def check_kkt(s, solution, rho, support_tol=1e-6):
     dual_bound_violation: how far Z pokes outside the unit entrywise box.
     fantope_optimality_gap: how far H is from maximizing <S - rho Z, .>
     over the Fantope (sum of top-k eigenvalues minus the achieved value).
-    An elastic-net solve's own report (solution.kkt) adds -tau H.
+    An elastic-net solve's own report (solution.kkt) adds -tau H.  A
+    solution that is not an FpsSolution of S's dimension raises InvalidInput.
     """
     s = as_sym(s).entries
-    h = solution.H.entries
-    return _kkt_arrays(
-        s, h, np.asarray(solution.Z, dtype=float), float(rho), solution.H.k,
-        support_tol=support_tol,
-        primal_residual=solution.primal_residual,
-    )
+    p = s.shape[0]
+    _check_solution(solution, p)
+    return _kkt_arrays(s, solution.H.entries, solution.Z, float(rho), solution.H.k,
+                       support_tol, solution.primal_residual, 0.0, np.arange(p))
 
 
 def _reference(m, gamma, v, g):
@@ -317,31 +326,25 @@ class _Run(NamedTuple):
     stalled: bool
 
 
-def _loop(s, k, cfg, warm=None, eig=None, budget=None):
+def _loop(s, k, cfg, start=None, eig=None, budget=None):
     """The splitting loop on the raw symmetric array s; returns its _Run.
 
-    warm is a trusted (H, Y, U) triple of arrays shaped like s.  Without
-    one, iteration 1 projects M0 = (S + step (k/p) I)/(tau + step); eig, the
-    ascending eigenpairs of s when the caller holds them, gives M0's shifted
-    and scaled, so the cold start takes no eigh of its own (else M0 is
-    decomposed).  Every iteration takes the one step of the module
-    docstring; the forms differ only in the soft-threshold level: rho/step
-    without a budget; with a budget R the level that projects onto the l1
-    ball of radius R, and the step is balanced.
+    start is a trusted (Y, U) pair of arrays shaped like s.  Without one,
+    iteration 1 projects M0 = (S + step (k/p) I)/(tau + step); eig, the
+    ascending eigenpairs of s when the caller holds them (cold starts only),
+    gives M0's shifted and scaled, so the cold start takes no eigh of its
+    own (else M0 is decomposed).  Every iteration takes the one step of the
+    module docstring; the forms differ only in the soft-threshold level:
+    rho/step without a budget; with a budget R the level that projects onto
+    the l1 ball of radius R, and the step is balanced.
     """
     p = s.shape[0]
     rho, tau, sigma = cfg.rho, cfg.tau_en, cfg.admm_step
     # the H-step's input is shrink * (Y - U) + s_scaled for every tau >= 0
     shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
-    if warm is None:
-        h = (k / p) * np.eye(p)
-        y = h.copy()
-        u = np.zeros((p, p))
-        # the loop's m below at Y = (k/p) I, U = 0
-        cold = None if eig is None else ((1.0 / (tau + sigma)) * eig[0] + shrink * (k / p), eig[1])
-    else:
-        h, y, u = warm
-        cold = None
+    y, u = start if start is not None else ((k / p) * np.eye(p), np.zeros((p, p)))
+    # the loop's m below at Y = (k/p) I, U = 0
+    cold = None if eig is None else ((1.0 / (tau + sigma)) * eig[0] + shrink * (k / p), eig[1])
 
     tol = cfg.eps * np.sqrt(p)
     window = 1000
@@ -402,14 +405,15 @@ def _loop(s, k, cfg, warm=None, eig=None, budget=None):
     return _Run(h, g, u, sigma, level, it, r_p, r_d, converged, stalled)
 
 
-def _read_out(s, k, cfg, run, h, z_raw, rho, rows=None):
+def _read_out(s, k, cfg, run, h, z_raw, rho, rows):
     """The FpsSolution of a finished run, read off p x p arrays.
 
     h is the run's projection and z_raw the multiplier (step/rho) U, both
     already p x p (None at rho = 0).  Z is z_raw symmetrized, its diagonal
     zeroed and clipped to [-1, 1]; the objective, the support and the KKT
-    report (one eigvalsh, of the J0 x J0 block when rows gives a screened
-    run's J0) are evaluated here, once.  working_set is the run's own order.
+    report (one eigvalsh, of the rows x rows block: a screened run's J0, or
+    all of range(p)) are evaluated here, once.  working_set is the run's
+    own order.
     """
     if rho > 0.0:
         z_raw = 0.5 * (z_raw + z_raw.T)
@@ -450,16 +454,17 @@ def _embed(block, idx, out):
     return out
 
 
-def _solve_raw(sym, cfg, warm=None, budget=None):
+def _solve_raw(sym, cfg, start=None, budget=None):
     """Every solve of the SymMat S: the screened block, else the full p x p loop.
 
     A penalized solve (rho > 0, no budget) whose screen keeps 4 |J0| <= p
-    rows first runs the loop on S[J0, J0], from warm restricted to J0 x J0
-    when given.  Its H is embedded in p x p zeros and its multiplier fills Z
-    on J0 x J0; Z elsewhere is S/rho, which the screen keeps inside [-1, 1].
+    rows first runs the loop on S[J0, J0], from the loop state start
+    restricted to J0 x J0 when given.  Its H is embedded in p x p zeros and
+    its multiplier fills Z on J0 x J0; Z elsewhere is S/rho, which the
+    screen keeps inside [-1, 1].
     That answer stands when its KKT report certifies it for the full
     problem.  Otherwise (refused, or a block run that did not converge) the
-    full loop runs, from warm or, cold, from S's retained spectrum.
+    full loop runs, from start or, cold, from S's retained spectrum.
 
     With a budget R, rho* = step * (the last level) stands in for cfg.rho in
     Z, the objective and the KKT report.  Returns (solution, the penalty it
@@ -472,7 +477,7 @@ def _solve_raw(sym, cfg, warm=None, budget=None):
     if cfg.rho > 0.0 and budget is None:
         rows = _screen(s, cfg.rho, k)
         if 4 * rows.size <= p:
-            block = None if warm is None else [a[np.ix_(rows, rows)] for a in warm]
+            block = None if start is None else [a[np.ix_(rows, rows)] for a in start]
             run = _loop(s[np.ix_(rows, rows)], k, cfg, block)
             if run.converged:
                 h = _embed(run.h, rows, np.zeros((p, p)))
@@ -481,11 +486,11 @@ def _solve_raw(sym, cfg, warm=None, budget=None):
                 tol = cfg.eps * np.sqrt(p) * (1.0 + abs(sol.objective))
                 if sol.kkt.fantope_optimality_gap <= tol:
                     return sol, cfg.rho
-    eig = sym.spectrum.ascending() if warm is None else None
-    run = _loop(s, k, cfg, warm, eig, budget)
+    eig = sym.spectrum.ascending() if start is None else None
+    run = _loop(s, k, cfg, start, eig, budget)
     rho = cfg.rho if budget is None else run.sigma * run.level
     z_raw = (run.sigma / rho) * run.u if rho > 0.0 else None
-    sol = _read_out(s, k, cfg, run, run.h, z_raw, rho)
+    sol = _read_out(s, k, cfg, run, run.h, z_raw, rho, np.arange(p))
     if not run.converged:
         if run.stalled:
             msg = (f"progress stalled after {run.iters} iterations "
@@ -503,30 +508,21 @@ def solve_fps(s, config, warm=None):
 
     At rho > 0 the solve first tries the screened block (see the module
     docstring), warm or cold, and runs the full loop only when its answer is
-    not certified.  warm is an optional (H, Y, U) triple of finite p x p
-    arrays to resume from; anything else raises InvalidInput.  Raises
+    not certified.  warm, an FpsSolution of this problem's order and
+    dimension (a converged answer, or NotConverged.solution), resumes the
+    iteration from it; anything else raises InvalidInput.  Raises
     NotConverged (carrying the partial solution) if the iteration budget
     runs out or progress stalls.
     """
     sym = as_sym(s)
+    start = None
     if warm is not None:
-        warm = _warm_triple(warm, sym.dim)
-    return _solve_raw(sym, config, warm)[0]
-
-
-def _warm_triple(warm, p):
-    """A caller's warm start as three finite p x p float arrays, or InvalidInput."""
-    try:
-        parts = [np.array(a, dtype=float) for a in warm]
-    except (TypeError, ValueError) as e:
-        raise InvalidInput(f"warm must be an (H, Y, U) triple of arrays: {e}") from None
-    if len(parts) != 3 or any(a.shape != (p, p) for a in parts):
-        raise InvalidInput(
-            f"warm must be three {p}x{p} arrays (H, Y, U), got shapes {[a.shape for a in parts]}"
-        )
-    if not all(np.all(np.isfinite(a)) for a in parts):
-        raise InvalidInput("warm has non-finite entries")
-    return parts
+        _check_solution(warm, sym.dim, config.k)
+        # the loop state (Y, U) at the pair: Y = H and U = (rho/step) W, with
+        # W = Z + I a subgradient of ||H||_1,1 too (W_ii = 1 = sign(H_ii)
+        # wherever H_ii > 0, and <W, H> = <Z, H> + k on the Fantope)
+        start = warm.H.entries, (config.rho / config.admm_step) * (warm.Z + np.eye(sym.dim))
+    return _solve_raw(sym, config, start)[0]
 
 
 # ===== constrained form =====
@@ -586,32 +582,25 @@ def uniqueness_probe(s, config, solution=None):
     unchanged when the solution is the unique rank-k projector).  Agreement of the two routes within 1e-5
     (Frobenius) certifies uniqueness; a collapsed gap raises GapCollapsed.
 
-    The second route resumes from the first route's answer, the triple
-    (H, H, (rho/step)(Z + I)), on the screened block like any solve: when
-    the screen keeps 4 |J0| <= p rows it runs on the triple restricted to
-    J0 x J0 and answers there once certified.  When H is the rank-k
-    projector of S - rho Z, subtracting tau H with tau < gap keeps it the
-    top-k projector, so the triple is an exact fixed point of the
-    elastic-net iteration and the resumed solve stops within an iteration
-    or two.  Otherwise the iterates move away from it.  Either way the
-    elastic-net problem is strongly concave, its maximizer is unique and the
-    iteration converges to it from any start, so the warm start changes the
+    The second route resumes from the first route's answer (warm=sol), on
+    the screened block like any solve.  When H is the rank-k projector of
+    S - rho Z, subtracting tau H with tau < gap keeps it the top-k
+    projector, so the answer is an exact fixed point of the elastic-net
+    iteration and the resumed solve stops within an iteration or two.
+    Otherwise the iterates move away from it.  Either way the elastic-net
+    problem is strongly concave, its maximizer is unique and the iteration
+    converges to it from any start, so the warm start changes the
     iteration count, not the limit the first route is compared with.
 
-    A handed `solution` whose order k or dimension differs from the
-    problem's raises InvalidInput; it is returned as the first route.
+    A handed `solution` that is not an FpsSolution of the problem's order k
+    and dimension raises InvalidInput; it is returned as the first route.
     """
     sym = as_sym(s)
     p = sym.dim
     if solution is None:
         sol = solve_fps(sym, config.with_(tau_en=0.0))
-    elif solution.H.k != config.k or solution.H.dim != p:
-        raise InvalidInput(
-            f"solution has k={solution.H.k}, p={solution.H.dim}; "
-            f"the problem has k={config.k}, p={p}"
-        )
     else:
-        sol = solution
+        sol = _check_solution(solution, p, config.k)
     if config.k == p:
         return UniquenessProbe(unique=True, discrepancy=0.0, tau=0.0, gap=float("inf")), sol
     gap = sol.kkt.eigengap
@@ -621,9 +610,7 @@ def uniqueness_probe(s, config, solution=None):
             "the penalized maximizer is not certifiably unique"
         )
     tau = 0.5 * gap
-    h = sol.H.entries
-    u = (config.rho / config.admm_step) * (sol.Z + np.eye(p))
-    sol_en = solve_fps(sym, config.with_(tau_en=tau), warm=(h, h, u))
-    disc = float(np.linalg.norm(h - sol_en.H.entries))
+    sol_en = solve_fps(sym, config.with_(tau_en=tau), warm=sol)
+    disc = float(np.linalg.norm(sol.H.entries - sol_en.H.entries))
     probe = UniquenessProbe(unique=disc <= _UNIQUE_TOL, discrepancy=disc, tau=tau, gap=gap)
     return probe, sol

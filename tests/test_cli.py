@@ -264,21 +264,24 @@ class TestCliqueCmd:
         assert main(["clique", "--p", p, "--s", "2", "--trials", "1"]) == 1
         assert not (tmp_path / "clique_results.csv").exists()
 
-    @pytest.mark.parametrize("p, trials", [(10, 2.5), (10, True), (10.5, 1)])
-    def test_non_integer_size_or_trials_is_an_input_error(self, tmp_path, monkeypatch, p, trials):
+    @pytest.mark.parametrize("p, s, trials", [
+        pytest.param(10, 3, 2.5, id="10-2.5"),
+        pytest.param(10, 3, True, id="10-True"),
+        pytest.param(10.5, 3, 1, id="10.5-1"),
+        (10, 300, 2), (10, 1, 2), (10, 2.5, 2),
+    ])
+    def test_non_integer_size_or_trials_is_an_input_error(self, tmp_path, monkeypatch,
+                                                           p, s, trials):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(InvalidInput):
-            cmd_clique(p, 3, trials, 1)
+            cmd_clique(p, s, trials, 1)
         assert list(tmp_path.iterdir()) == []
 
-    def test_clique_larger_than_graph(self, tmp_path, monkeypatch, capsys):
-        # no --out: the default CSV and summary land in the working directory
+    def test_oversized_clique_is_an_input_error(self, tmp_path, monkeypatch):
+        # no --out: nothing lands in the working directory either
         monkeypatch.chdir(tmp_path)
-        assert main(["clique", "--p", "10", "--s", "11", "--trials", "1"]) == 0
-        # the generator error is recorded per trial, not fatal
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["frequency"] == 0.0
-        assert (tmp_path / "clique_results.csv").exists()
+        assert main(["clique", "--p", "10", "--s", "11", "--trials", "1"]) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPhaseCmd:

@@ -326,6 +326,16 @@ class TestFrobeniusBound:
         assert lhs <= 1e-6
         assert ok
 
+    @pytest.mark.parametrize("bad", ["other_dim", "other_k", "scalar"])
+    def test_malformed_solution_rejected(self, bad):
+        sol = {
+            "other_dim": solve_fps(np.eye(4) + 0.1, SolverConfig(k=1, rho=0.1)),
+            "other_k": solve_fps(TOY, SolverConfig(k=2, rho=0.0)),
+            "scalar": 3.0,
+        }[bad]
+        with pytest.raises(InvalidInput):
+            frobenius_bound_check(TOY, TOY, 1, (0, 1), 0.1, sol)
+
     def test_degenerate_raises(self):
         sol = solve_fps(TOY, SolverConfig(k=1, rho=0.0))
         with pytest.raises(SpsViolated):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -62,12 +63,6 @@ def spiked_case():
 
 
 WARM_CASES = pytest.mark.parametrize("case", [toy_case, spiked_case], ids=["toy", "spiked50"])
-
-
-def resume_state(sol, cfg):
-    """The warm start (H, Y, U) that resumes the splitting iteration at sol."""
-    h = sol.H.entries
-    return h, h, (cfg.rho / cfg.admm_step) * (sol.Z + np.eye(h.shape[0]))
 
 
 def count_linalg(monkeypatch, name):
@@ -344,7 +339,7 @@ class TestSolutionFromLastProjection:
         s, cfg = spiked_case()
         sol = solve_fps(s, cfg)
         try:
-            again = solve_fps(s, cfg.with_(max_iters=1), warm=resume_state(sol, cfg))
+            again = solve_fps(s, cfg.with_(max_iters=1), warm=sol)
         except NotConverged as e:
             again = e.solution
         assert again.iters == 1
@@ -416,10 +411,15 @@ class TestColdStartFromSpectrum:
 
     @staticmethod
     def eigh_of_m(s, cfg):
-        # the cold state handed in as a warm start: iteration 1 decomposes M0 itself
-        p, k = s.shape[0], cfg.k
-        h = (k / p) * np.eye(p)
-        return solve_fps(s, cfg, warm=(h, h, np.zeros((p, p))))
+        # the cold loop handed no spectrum: iteration 1 decomposes M0 itself
+        real = fantope.solver._loop
+
+        def no_spectrum(s_in, k, cfg_in, start=None, eig=None, budget=None):
+            return real(s_in, k, cfg_in, start, None, budget)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fantope.solver, "_loop", no_spectrum)
+            return solve_fps(s, cfg)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_known_spectrum_saves_one_eigh(self, monkeypatch, tau):
@@ -541,7 +541,8 @@ class TestScreenedSolve:
         cfg = cfg.with_(tau_en=tau)
         sol = solve_or_partial(s, cfg)
         full = fantope.solver._kkt_arrays(s.entries, sol.H.entries, sol.Z, cfg.rho, cfg.k,
-                                          cfg.support_tol, sol.primal_residual, tau)
+                                          cfg.support_tol, sol.primal_residual, tau,
+                                          np.arange(s.dim))
         tol = 1e-12 * (1.0 + abs(sol.objective))
         assert (sol.kkt.sign_mismatch, sol.kkt.dual_bound_violation) == (
             full.sign_mismatch, full.dual_bound_violation)
@@ -598,10 +599,27 @@ class TestScreenedSolve:
     def test_warm_resume_answers_on_the_block(self):
         s, cfg = spiked_case()
         cold = solve_fps(s, cfg)
-        again = solve_fps(s, cfg, warm=resume_state(cold, cfg))
+        again = solve_fps(s, cfg, warm=cold)
         assert again.working_set == 5 and again.support == cold.support
         assert np.linalg.norm(again.H.entries - cold.H.entries) <= 1e-6
         assert again.iters <= 2
+
+    @pytest.mark.parametrize("full", [False, True], ids=["block", "full-loop"])
+    def test_not_converged_partial_resumes(self, monkeypatch, full):
+        # a partial is a solution like any other: resumed, it reaches the cold
+        # answer; two converged solves agree to about 10 eps sqrt(p), so a
+        # tighter eps than the default keeps that inside 1e-6 on the full loop
+        s, cfg = spiked_case()
+        cfg = cfg.with_(eps=1e-8)
+        if full:
+            full_loop_only(monkeypatch)
+        cold = solve_fps(s, cfg)
+        with pytest.raises(NotConverged) as exc:
+            solve_fps(s, cfg.with_(max_iters=3))
+        again = solve_fps(s, cfg, warm=exc.value.solution)
+        assert again.working_set == cold.working_set == (50 if full else 5)
+        assert again.support == cold.support
+        assert np.linalg.norm(again.H.entries - cold.H.entries) <= 1e-6
 
     def test_unpenalized_solve_takes_the_full_loop(self):
         s, cfg = spiked_case()
@@ -665,6 +683,16 @@ class TestCheckKkt:
         sol = solve_fps(TOY, SolverConfig(k=1, rho=0.2))
         assert isinstance(sol.kkt, KktReport)
         assert sol.kkt.fantope_optimality_gap >= -1e-12
+
+    @pytest.mark.parametrize("bad", ["other_dim", "scalar", "pair"])
+    def test_malformed_solution_rejected(self, bad):
+        sol = {
+            "other_dim": solve_fps(np.eye(4) + 0.1, SolverConfig(k=1, rho=0.1)),
+            "scalar": 3.0,
+            "pair": (np.eye(3), np.zeros((3, 3))),
+        }[bad]
+        with pytest.raises(InvalidInput):
+            check_kkt(np.eye(3), sol, 0.1)
 
     def test_eigengap_of_the_gradient(self):
         rng = np.random.default_rng(9)
@@ -867,7 +895,7 @@ class TestWarmStart:
     def test_converged_solve_resumes_in_place(self, case):
         s, cfg = case()
         sol = solve_fps(s, cfg)
-        again = solve_fps(s, cfg, warm=resume_state(sol, cfg))
+        again = solve_fps(s, cfg, warm=sol)
         assert again.iters <= 2
         assert np.linalg.norm(again.H.entries - sol.H.entries) <= 1e-6
 
@@ -878,38 +906,44 @@ class TestWarmStart:
         s, cfg = case()
         probe, sol = uniqueness_probe(s, cfg)
         assert probe.unique
-        en = solve_fps(s, cfg.with_(tau_en=probe.tau), warm=resume_state(sol, cfg))
+        en = solve_fps(s, cfg.with_(tau_en=probe.tau), warm=sol)
         assert en.iters <= 2
 
     @WARM_CASES
     def test_warm_start_keeps_the_limit(self, case):
-        # strongly concave: any start reaches the cold solve's answer
+        # strongly concave: any start reaches the cold solve's answer, here
+        # the solutions at other penalties
         s, cfg = case()
         probe, _ = uniqueness_probe(s, cfg)
         cfg_en = cfg.with_(tau_en=probe.tau)
         cold = solve_fps(s, cfg_en)
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            h0 = random_feasible_point(rng, s.shape[0], cfg.k)
-            warm = solve_fps(s, cfg_en, warm=(h0, h0, np.zeros_like(h0)))
+        for mult in (0.0, 0.5, 2.0):
+            other = solve_fps(s, cfg.with_(rho=mult * cfg.rho))
+            warm = solve_fps(s, cfg_en, warm=other)
             assert np.linalg.norm(warm.H.entries - cold.H.entries) <= 1e-5
 
-
     @pytest.mark.parametrize("warm", [
-        "other_dim", "pair", "non_finite", "ragged", "scalar",
+        "other_dim", "other_k", "z_shape", "pair", "non_finite", "ragged", "scalar",
     ])
     def test_malformed_warm_rejected(self, warm):
+        # solve_fps(warm=) and uniqueness_probe(solution=) share the one check
         s = rand_sym(np.random.default_rng(2), 4)
+        cfg = SolverConfig(k=1, rho=0.1)
+        sol = solve_fps(s, cfg)
         a = np.zeros((4, 4))
         bad = {
-            "other_dim": (np.eye(3), np.eye(3), np.eye(3)),
+            "other_dim": solve_fps(s[:3, :3], cfg),
+            "other_k": solve_fps(s, cfg.with_(k=2)),
+            "z_shape": replace(sol, Z=sol.Z[:3, :3]),
             "pair": (a, a),
-            "non_finite": (a, a, np.full((4, 4), np.nan)),
+            "non_finite": replace(sol, Z=np.full((4, 4), np.nan)),
             "ragged": (a, a, [[0.0, 1.0], [2.0]]),
             "scalar": 3.0,
         }[warm]
         with pytest.raises(InvalidInput):
-            solve_fps(s, SolverConfig(k=1, rho=0.1), warm=bad)
+            solve_fps(s, cfg, warm=bad)
+        with pytest.raises(InvalidInput):
+            uniqueness_probe(s, cfg, solution=bad)
 
 
 class TestInvariance:
