@@ -19,11 +19,13 @@ def _integer(name, value, least=1):
     return int(value)
 
 
-def _finite_real(name, value):
-    # the one rule for real-valued arguments: a finite number, stored as float
+def _finite_real(name, value, least=-math.inf, strict=False):
+    # the one rule for real-valued arguments: a finite number >= least (> least
+    # when strict), stored as float
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise InvalidInput(f"{name}={value!r} must be a finite number")
+            or not math.isfinite(value) or value < least or (strict and value == least)):
+        bound = f" {'>' if strict else '>='} {least:g}" if least > -math.inf else ""
+        raise InvalidInput(f"{name}={value!r} must be a finite number{bound}")
     return float(value)
 
 
@@ -55,7 +57,10 @@ def sym_residual(a):
 
 
 def check_square(a, name="matrix"):
-    a = np.asarray(a, dtype=float)
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidInput(f"{name} is not a numeric array: {e}")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -67,15 +72,16 @@ def check_square(a, name="matrix"):
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Sorted, duplicate-free set of row/column indices."""
+    """Sorted, duplicate-free set of row/column indices, each by the integer rule with least 0."""
 
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        if any(i < 0 for i in idx):
-            raise InvalidInput("support indices must be non-negative")
-        object.__setattr__(self, "indices", idx)
+        idx = tuple(self.indices)
+        # plain non-negative ints pass the rule without its per-index cost
+        if not (all(type(i) is int for i in idx) and min(idx, default=0) >= 0):
+            idx = [_integer("support index", i, least=0) for i in idx]
+        object.__setattr__(self, "indices", tuple(sorted(set(idx))))
 
     @property
     def size(self):
@@ -88,7 +94,7 @@ class SupportSet:
         return iter(self.indices)
 
     def __contains__(self, i):
-        return int(i) in set(self.indices)
+        return i in self.indices
 
     def as_array(self):
         return np.asarray(self.indices, dtype=int)
@@ -103,9 +109,7 @@ class SupportSet:
 
 def as_support(j):
     """Coerce an iterable of indices (or SupportSet) to a SupportSet."""
-    if isinstance(j, SupportSet):
-        return j
-    return SupportSet(tuple(j))
+    return j if isinstance(j, SupportSet) else SupportSet(j)
 
 
 # A variable is in the support of a projector Pi when its leverage Pi_ii
@@ -115,4 +119,4 @@ _SUPPORT_CUT = 1e-10
 
 def _support_of(leverage):
     """Indices whose leverage (projector diagonal entry) exceeds _SUPPORT_CUT."""
-    return SupportSet(tuple(np.nonzero(np.asarray(leverage) > _SUPPORT_CUT)[0]))
+    return SupportSet(np.nonzero(np.asarray(leverage) > _SUPPORT_CUT)[0].tolist())

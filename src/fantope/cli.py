@@ -35,7 +35,6 @@ import csv
 import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -102,9 +101,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # every value is typed here, once; commands read them as stored
-        if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
-                or self.trials < 1):
-            raise InvalidInput(f"trials={self.trials} must be a positive integer")
         params = {key: _PARAM_TYPES[key](key, v) if key in _PARAM_TYPES else v
                   for key, v in self.model_params.items()}
         grid = {}
@@ -114,16 +110,17 @@ class ExperimentConfig:
             grid[axis] = tuple(_AXIS_TYPES[axis](f"grid_{axis}", v) for v in vals)
         tols = dict(self.tolerances)
         if "sandwich_tol" in tols:
-            tols["sandwich_tol"] = _finite_real("sandwich_tol", tols["sandwich_tol"])
-            if tols["sandwich_tol"] < 0:
-                raise InvalidInput("sandwich_tol must be non-negative")
+            tols["sandwich_tol"] = _finite_real("sandwich_tol", tols["sandwich_tol"], 0.0)
+        if self.alpha is not None and _finite_real("alpha", self.alpha, 0.0, strict=True) > 1:
+            raise InvalidInput(f"alpha={self.alpha!r} must be in (0, 1]")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise InvalidInput(f"output_path={self.output_path!r} must be a path")
         for name, value in (
                 ("model_params", params), ("grid", grid), ("tolerances", tols),
+                ("trials", _integer("trials", self.trials)),
                 ("seed", _nonneg_int("seed", self.seed)),
-                ("sigma_mult", _finite_real("sigma_mult", self.sigma_mult)),
-                ("alpha", None if self.alpha is None else _finite_real("alpha", self.alpha))):
+                ("sigma_mult", _finite_real("sigma_mult", self.sigma_mult, 0.0, strict=True)),
+                ("alpha", None if self.alpha is None else float(self.alpha))):
             object.__setattr__(self, name, value)
 
 

@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .base import (SupportSet, _finite_real, _integer, _support_of, as_support,
-                   entry_max_norm, l11_norm, row_l2_max)
+                   check_square, entry_max_norm, l11_norm, row_l2_max)
 from .errors import InvalidInput, SpsViolated
 from .solver import SolverConfig, _check_solution, _embed, solve_fps, solve_fps_constrained
-from .spectral import (FantopePoint, SymMat, _check_order, _top_k, as_sym, eig_sym,
+from .spectral import (FantopePoint, SymMat, _check_order, _pair, _top_k, as_sym, eig_sym,
                        procrustes_align)
 
 
@@ -92,13 +92,6 @@ def _population(sym, k):
                        support=_support_of(np.diag(pi.entries)))
 
 
-def _pair(sigma, s):
-    sym, smat = as_sym(sigma), as_sym(s)
-    if sym.dim != smat.dim:
-        raise InvalidInput("population and estimate dimensions differ")
-    return sym, smat
-
-
 def _gapped(sym, k, why=""):
     # the checks below are stated for an identifiable top-k subspace
     pop = _population(sym, k)
@@ -153,9 +146,10 @@ def sign_rank_one(m, j):
     Any entry with magnitude <= 1e-12 disqualifies the pattern.  The
     check fixes b from the first row's signs and verifies consistency,
     which is equivalent to the exhaustive search over all sign vectors.
-    An empty J, or one reaching past M's rows, raises InvalidInput.
+    An M that is not a finite square matrix, an empty J, or one reaching
+    past M's rows raises InvalidInput.
     """
-    m = np.asarray(m, dtype=float)
+    m = check_square(m, "M")
     j = _carried(j, 1, len(m))
     sub = m[np.ix_(j.as_array(), j.as_array())]
     if np.any(np.abs(sub) <= _SIGN_ZERO_TOL):
@@ -181,8 +175,11 @@ def l11_row_bound(point):
     """Sparsity bound ||H||_1,1 <= k * (number of rows with norm > 1e-10).
 
     Returns (lhs, rhs, ok).  Holds for every Fantope member by
-    Cauchy-Schwarz, with k = trace(H).
+    Cauchy-Schwarz, with k = trace(H).  Anything but a FantopePoint raises
+    InvalidInput.
     """
+    if not isinstance(point, FantopePoint):
+        raise InvalidInput(f"expected a FantopePoint, got {type(point).__name__}")
     h = point.entries
     lhs = l11_norm(h)
     rows = int(np.count_nonzero(np.sqrt((h * h).sum(axis=1)) > _ROW_TOL))
@@ -245,8 +242,7 @@ def check_recovery_conditions(sigma, s, k, j, rho):
     prob_sample_ok is None here; it belongs to the sampling-based check.
     """
     sym, smat = _pair(sigma, s)
-    if _finite_real("rho", rho) <= 0:
-        raise InvalidInput("recovery conditions are stated for rho > 0")
+    rho = _finite_real("rho", rho, 0.0, strict=True)
     rep, _ = _conditions(sym, k, j, rho, signed_floor=False)
     err = entry_max_norm(smat.entries - sym.entries)
     return replace(rep, det_cond1_lhs=float(err / rho + rep.lcc_lhs))
@@ -264,10 +260,9 @@ def check_sample_conditions(sigma, k, j, n, sigma_scale, alpha):
     """
     sym = as_sym(sigma)
     p = sym.dim
-    if not (0 < _finite_real("alpha", alpha) <= 1):
-        raise InvalidInput(f"alpha={alpha} must be in (0, 1]")
-    if _finite_real("sigma_scale", sigma_scale) <= 0:
-        raise InvalidInput(f"sigma_scale={sigma_scale} must be positive")
+    if _finite_real("alpha", alpha, 0.0, strict=True) > 1:
+        raise InvalidInput(f"alpha={alpha!r} must be in (0, 1]")
+    sigma_scale = _finite_real("sigma_scale", sigma_scale, 0.0, strict=True)
     if _integer("n", n) < np.log(p):
         raise InvalidInput(f"sample size n={n} must be an integer >= log(p)")
     j = as_support(j)
@@ -286,13 +281,13 @@ def frobenius_bound_check(sigma, s, k, j, rho, sol):
     """Frobenius error bound ||H - Pi||_F <= 4*rho*s/gap (up to 1e-6).
 
     The bound's regime needs rho at least the entrywise error
-    ||S - Sigma||_max; the caller owns that choice.  sol must be an
-    FpsSolution of order k and Sigma's dimension.  Returns (lhs, rhs, ok).
+    ||S - Sigma||_max; the caller owns that choice.  Returns (lhs, rhs, ok).
+    InvalidInput unless S is a finite square matrix of Sigma's dimension, rho
+    a finite number >= 0 and sol an FpsSolution of order k and that dimension.
     """
-    sym = as_sym(sigma)
+    sym, _ = _pair(sigma, s)
     j = _carried(j, k, sym.dim)
-    if _finite_real("rho", rho) < 0:
-        raise InvalidInput(f"rho={rho} must be non-negative")
+    rho = _finite_real("rho", rho, 0.0)
     _check_solution(sol, sym.dim, k)
     pop = _gapped(sym, k)
     lhs = float(np.linalg.norm(sol.H.entries - pop.pi.entries))
@@ -322,10 +317,10 @@ def build_witness(sigma, s, k, j, rho):
       - the largest off-support dual magnitude (feasible iff <= 1),
       - the operator norm of the non-signal residual, which must stay
         below half the population eigengap.
-    witness_valid requires all three.
+    witness_valid requires all three.  The construction divides by rho, so a
+    rho that is not a finite number > 1e-12 raises InvalidInput.
     """
-    if _finite_real("rho", rho) <= 1e-12:
-        raise InvalidInput("certificate construction divides by rho; need rho > 1e-12")
+    rho = _finite_real("rho", rho, 1e-12, strict=True)
     sym, smat = _pair(sigma, s)
     p = sym.dim
     j = _carried(j, k, p)

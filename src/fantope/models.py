@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import SupportSet, _finite_real, _integer, _support_of, as_support, entry_max_norm
+from .base import (SupportSet, _finite_real, _integer, _support_of, as_support, check_square,
+                   entry_max_norm)
 from .errors import DegenerateModel, InvalidInput
-from .spectral import FantopePoint, SymMat, _top_k, as_sym
+from .spectral import FantopePoint, SymMat, _pair, _top_k, as_sym
 
 
 # ===== domain types =====
@@ -120,14 +121,13 @@ def gen_spiked(p, k, j, spike_values, noise, seed):
     spikes = np.asarray(spike_values, dtype=object)
     if spikes.ndim != 1 or spikes.shape[0] != k:
         raise InvalidInput("need exactly k spike values")
-    spikes = np.array([_finite_real("spike_values", v) for v in spikes])
-    if np.any(spikes <= 0) or np.any(np.diff(spikes) > 0):
-        raise InvalidInput("spike values must be positive and non-increasing")
+    spikes = np.array([_finite_real("spike_values", v, 0.0, strict=True) for v in spikes])
+    if np.any(np.diff(spikes) > 0):
+        raise InvalidInput("spike values must be non-increasing")
     if not (1 <= k <= j.size <= p) or j.indices[-1] >= p:
         raise InvalidInput(f"need 1 <= k <= |j| <= p and j in range(p), "
                            f"got k={k}, j={j.indices}, p={p}")
-    if _finite_real("noise", noise) <= 0:
-        raise InvalidInput("noise variance must be positive")
+    noise = _finite_real("noise", noise, 0.0, strict=True)
     rng = np.random.default_rng(seed)
     s = j.size
     u = None
@@ -143,7 +143,7 @@ def gen_spiked(p, k, j, spike_values, noise, seed):
     sigma = (u_emb * spikes) @ u_emb.T + noise * np.eye(p)
     params = {
         "model": "spiked", "p": p, "k": k, "s": s,
-        "spikes": tuple(float(x) for x in spikes), "noise": float(noise),
+        "spikes": tuple(float(x) for x in spikes), "noise": noise,
         "seed": seed,
     }
     return _finish_instance(sigma, k, j, params)
@@ -158,11 +158,10 @@ def gen_planted_clique(p, s, seed):
     Sigma has diagonal p/(p-1), in-clique off-diagonal s/(p-1), zero outside,
     so the leading eigenvector of Sigma is 1_J / sqrt(s).
     """
-    p, s, seed = _integer("p", p), _integer("s", s), _integer("seed", seed, least=0)
-    if not (2 <= s <= p):
-        raise InvalidInput(f"need 2 <= s <= p, got s={s}, p={p}")
-    if p < 3:
-        raise InvalidInput("need p >= 3")
+    p, s = _integer("p", p, least=3), _integer("s", s, least=2)
+    seed = _integer("seed", seed, least=0)
+    if s > p:
+        raise InvalidInput(f"clique size s={s} exceeds the graph's p={p} vertices")
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(p, k=1)
     prob = np.full(len(iu[0]), 0.5)
@@ -225,8 +224,10 @@ def sample_covariance(batch):
 
 
 def entrywise_error(s, sigma):
-    """||S - Sigma||_inf,inf, the noise scale the theory is phrased in."""
-    return entry_max_norm(as_sym(s).entries - as_sym(sigma).entries)
+    """||S - Sigma||_inf,inf, the noise scale the theory is phrased in (InvalidInput
+    unless S and Sigma are finite square matrices of one dimension)."""
+    sym, smat = _pair(sigma, s)
+    return entry_max_norm(smat.entries - sym.entries)
 
 
 # ===== matrix file format =====
@@ -242,8 +243,4 @@ def load_matrix_csv(path):
         a = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as e:
         raise InvalidInput(f"could not parse matrix CSV {path}: {e}")
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"matrix in {path} is {a.shape[0]}x{a.shape[1]}, not square")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"matrix in {path} has non-finite entries")
-    return a
+    return check_square(a, f"matrix in {path}")

@@ -126,12 +126,9 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "k", _integer("k", self.k))
         object.__setattr__(self, "max_iters", _integer("max_iters", self.max_iters))
-        for name in ("rho", "tau_en", "admm_step", "eps", "support_tol"):
-            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
-        if self.rho < 0 or self.tau_en < 0:
-            raise InvalidInput("rho and tau_en must be non-negative")
-        if min(self.admm_step, self.eps, self.support_tol) <= 0:
-            raise InvalidInput("admm_step and the tolerances must be positive")
+        for name, strict in (("rho", False), ("tau_en", False), ("admm_step", True),
+                             ("eps", True), ("support_tol", True)):
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name), 0.0, strict))
 
     def with_(self, **kw):
         return replace(self, **kw)
@@ -237,7 +234,7 @@ def _extract_support(h, support_tol, primal_residual):
     d = np.diag(h)
     top = float(np.max(d)) if d.size else 0.0
     cut = max(support_tol * top, 4.0 * primal_residual)
-    return SupportSet(tuple(np.nonzero(d > cut)[0]))
+    return SupportSet(np.nonzero(d > cut)[0].tolist())
 
 
 def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual, tau, rows):
@@ -289,13 +286,15 @@ def check_kkt(s, solution, rho, support_tol=1e-6):
     fantope_optimality_gap: how far H is from maximizing <S - rho Z, .>
     over the Fantope (sum of top-k eigenvalues minus the achieved value).
     An elastic-net solve's own report (solution.kkt) adds -tau H.  A
-    solution that is not an FpsSolution of S's dimension raises InvalidInput.
+    solution that is not an FpsSolution of S's dimension, or a rho or
+    support_tol that SolverConfig rejects, raises InvalidInput.
     """
     s = as_sym(s).entries
     p = s.shape[0]
     _check_solution(solution, p)
-    return _kkt_arrays(s, solution.H.entries, solution.Z, float(rho), solution.H.k,
-                       support_tol, solution.primal_residual, 0.0, np.arange(p))
+    cfg = SolverConfig(k=solution.H.k, rho=rho, support_tol=support_tol)
+    return _kkt_arrays(s, solution.H.entries, solution.Z, cfg.rho, cfg.k,
+                       cfg.support_tol, solution.primal_residual, 0.0, np.arange(p))
 
 
 def _reference(m, gamma, v, g):

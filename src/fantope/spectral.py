@@ -60,6 +60,13 @@ def as_sym(a):
     return a if isinstance(a, SymMat) else SymMat.from_array(a)
 
 
+def _pair(sigma, s):
+    sym, smat = as_sym(sigma), as_sym(s)
+    if sym.dim != smat.dim:
+        raise InvalidInput("population and estimate dimensions differ")
+    return sym, smat
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Full eigendecomposition, eigenvalues descending, eigenvectors in columns."""

@@ -114,7 +114,7 @@ class TestConfigParsing:
         with pytest.raises(InvalidInput):
             ExperimentConfig(grid={"n": ()})
 
-    @pytest.mark.parametrize("trials", ["2.0", "1.5", "nan", "true"])
+    @pytest.mark.parametrize("trials", ["1.5", "nan", "true"])
     @pytest.mark.parametrize("command", ["phase", "persist"])
     def test_non_integer_trials_is_an_input_error(self, tmp_path, command, trials):
         path = tmp_path / "cfg.txt"
@@ -123,6 +123,18 @@ class TestConfigParsing:
                         f"output_path = {tmp_path / 'out.csv'}\n")
         assert main([command, "--config", str(path)]) == 1
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["phase", "persist"])
+    def test_integer_valued_trials_is_stored_as_int(self, tmp_path, command):
+        # trials goes through the integer rule, as p and seed do
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"p = 10\nk = 1\ns = 3\nspike_values = 2.0\n"
+                        f"grid_n = 500\ngrid_r = 2.0\ntrials = 2.0\n"
+                        f"output_path = {tmp_path / 'out.csv'}\n")
+        assert parse_config(str(path)).trials == 2
+        assert main([command, "--config", str(path)]) == 0
+        with open(tmp_path / "out.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
 
     @pytest.mark.parametrize("max_iters", ["nan", "inf", "2.5"])
     @pytest.mark.parametrize("command", ["phase", "persist"])
@@ -140,6 +152,8 @@ class TestConfigParsing:
         ("phase", "grid_n", "-1"), ("phase", "grid_p", "2.5"), ("phase", "grid_s", "abc"),
         ("phase", "seed", "abc"), ("phase", "t", "inf"), ("phase", "noise", "abc"),
         ("phase", "sigma_mult", "abc"), ("phase", "alpha", "nan"),
+        ("phase", "sigma_mult", "-1"), ("phase", "sigma_mult", "0"),
+        ("phase", "alpha", "-0.5"), ("phase", "alpha", "0"), ("phase", "alpha", "1.5"),
         ("phase", "spike_values", "2.0, abc"), ("phase", "grid_rho", "abc"),
         ("persist", "grid_r", "abc"), ("persist", "grid_r", "0.5"),
         ("persist", "sandwich_tol", "abc"),
