@@ -56,15 +56,21 @@ def sym_residual(a):
     return float(np.max(np.abs(a - a.T))) if a.size else 0.0
 
 
-def check_square(a, name="matrix"):
+def _finite_array(a, name):
+    # the one rule for array arguments: numeric, rectangular and finite, as floats
     try:
         a = np.asarray(a, dtype=float)
     except (TypeError, ValueError) as e:
         raise InvalidInput(f"{name} is not a numeric array: {e}")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInput(f"{name} has non-finite entries")
+    return a
+
+
+def check_square(a, name="matrix"):
+    a = _finite_array(a, name)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     return a
 
 
@@ -101,7 +107,7 @@ class SupportSet:
 
     def complement(self, dim):
         """Indices in range(dim) not in this set."""
-        inside = set(self.indices)
+        dim, inside = _integer("dim", dim, least=0), set(self.indices)
         if inside and max(inside) >= dim:
             raise InvalidInput("support index exceeds dimension")
         return SupportSet(tuple(i for i in range(dim) if i not in inside))

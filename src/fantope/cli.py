@@ -10,7 +10,10 @@ certify  recovery conditions plus dual certificate for (Sigma, S, J, rho)
 
 Exit codes: 0 success; 1 for any InvalidInput (SpsViolated and
 InfeasibleConstraint included) or OSError; 2 for NotConverged or
-NumericalFailure; 3 for a failed certification.  The environment
+NumericalFailure; 3 for a failed certification.  In a sweep (phase,
+clique, persist) a trial's NotConverged or NumericalFailure is recorded
+in its row's error cell and the sweep goes on; an InvalidInput anywhere,
+in a trial too, exits 1 before any file is written.  The environment
 variable FPS_SEED, when set, overrides any seed given by flag or config
 file.  Experiment subcommands write a CSV with the fixed TrialRecord
 column set plus a summary JSON that embeds the fully resolved
@@ -270,9 +273,9 @@ def _write_outputs(out_csv, records, summary):
     _emit_json(summary, _stem(out_csv) + ".summary.json")
 
 
-# the typed errors: one fails a trial (recorded in its row, never fatal);
-# outside a trial, main exits 1 for InvalidInput and 2 for the others
-_TRIAL_ERRORS = (InvalidInput, NotConverged, NumericalFailure)
+# a failed solve: recorded in its trial's row, and the sweep goes on.  An
+# InvalidInput is a bad config, never a row: main exits 1 before any file
+_TRIAL_ERRORS = (NotConverged, NumericalFailure)
 
 
 @contextmanager
@@ -358,8 +361,6 @@ def _build_model(name, params, seed):
 def cmd_phase(config):
     """Support-recovery sweep: sample, solve at the prescribed penalty, score."""
     seed = _resolve_seed(config.seed)
-    if config.model not in ("spiked", "toy"):
-        raise InvalidInput(f"unknown model '{config.model}' (expected spiked or toy)")
     axes = [a for a in ("n", "p", "s", "rho") if a in config.grid]
     if "n" not in axes:
         raise InvalidInput("phase needs a grid_n axis")
@@ -375,15 +376,7 @@ def cmd_phase(config):
         params = dict(config.model_params)
         params.update({a: coord[a] for a in ("p", "s") if a in coord})
         n = coord["n"]
-        try:
-            model = _build_model(config.model, params, seed)
-        except InvalidInput as e:
-            for ti in range(config.trials):
-                records.append(TrialRecord("phase", ci, ti, n=n, seed=seed,
-                                           error=f"model: {e}"))
-            cell_stats.append({"cell": ci, **coord, "recovered": 0,
-                               "trials": config.trials, "frequency": 0.0})
-            continue
+        model = _build_model(config.model, params, seed)
         k, p = model.k, model.dim
         alpha = config.alpha
         if alpha is None:
@@ -434,9 +427,6 @@ def cmd_clique(p, s, trials, seed, rho_mult=CLIQUE_RHO_MULT,
     trials = _integer("trials", trials)
     # the penalty below divides by p - 1 and takes log p
     p = _integer("p", p, least=3)
-    s = _integer("s", s, least=2)
-    if s > p:
-        raise InvalidInput(f"clique size s={s} exceeds the graph's p={p} vertices")
     seed = _resolve_seed(seed)
     rho = rho_mult * math.sqrt(math.log(p) / (p - 1))
     cfg = SolverConfig(k=1, rho=rho, support_tol=support_tol)
@@ -621,7 +611,7 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _TRIAL_ERRORS + (OSError,) as e:
+    except (InvalidInput, OSError, NotConverged, NumericalFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, (InvalidInput, OSError)) else 2
 

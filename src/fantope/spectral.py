@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import _integer, check_square, sym_residual
+from .base import _finite_array, _integer, check_square, sym_residual
 from .errors import InvalidInput, NumericalFailure
 
 
@@ -351,12 +351,9 @@ def procrustes_align(u, v):
     exceeds the Frobenius distance between the two spanned projectors,
     ||u u^T - v v^T||_F.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _finite_array(u, "first frame"), _finite_array(v, "second frame")
     if u.ndim != 2 or v.ndim != 2 or u.shape != v.shape:
         raise InvalidInput(f"frames must share a p x k shape, got {u.shape} vs {v.shape}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise InvalidInput("frame has non-finite entries")
     kk = u.shape[1]
     for name, f in (("first", u), ("second", v)):
         err = np.max(np.abs(f.T @ f - np.eye(kk))) if kk else 0.0

@@ -1,10 +1,11 @@
 """Every public entry point checks its arguments by base's rules.
 
-A support index goes through the integer rule (least 0), a penalty or a
-scale through the real rule with its lower bound, a matrix through
-check_square, and anything they reject raises InvalidInput: never a raw
-numpy error, and never a silently wrong answer.  The fps config values
-have their rows in test_cli's malformed-value table.
+A support index or a dimension goes through the integer rule (least 0), a
+penalty or a scale through the real rule with its lower bound, a matrix
+through check_square, a frame through its numeric and finite part, and
+anything they reject raises InvalidInput: never a raw numpy error, and
+never a silently wrong answer.  The fps config values have their rows in
+test_cli's malformed-value table.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 
 from fantope import (SolverConfig, SupportSet, SymMat, as_support, check_kkt, check_lcc,
                      entrywise_error, frobenius_bound_check, gen_toy, l11_row_bound,
-                     sign_rank_one, solve_fps, support_error)
+                     procrustes_align, sign_rank_one, solve_fps, support_error)
 from fantope.errors import InvalidInput
 
 TOY = gen_toy(0.1).Sigma
@@ -43,6 +44,11 @@ BAD_ARGUMENTS = {
     "sign-rank-one-non-square": lambda: sign_rank_one(np.ones((3, 2)), (0, 1, 2)),
     "l11-row-bound-array": lambda: l11_row_bound(np.eye(3)),
     "entrywise-error-dimensions": lambda: entrywise_error(np.eye(3), np.eye(4)),
+    "procrustes-string": lambda: procrustes_align("x", np.eye(2)),
+    "procrustes-ragged": lambda: procrustes_align([[1.0, 0.0], [0.0]], np.eye(2)),
+    "complement-half": lambda: SupportSet((0,)).complement(2.5),
+    "complement-string": lambda: SupportSet((0,)).complement("3"),
+    "complement-bool": lambda: SupportSet((0,)).complement(True),
 }
 
 

@@ -170,6 +170,27 @@ class TestConfigParsing:
         assert "error:" in capsys.readouterr().err
         assert [f.name for f in tmp_path.iterdir()] == ["cfg.txt"]
 
+    # each config passes parsing and fails a library rule inside a trial; the
+    # InvalidInput is a config error, never a row, so nothing is written
+    @pytest.mark.parametrize("command,body,rule", [
+        pytest.param("phase", "grid_n = 500\ngrid_rho = -0.1\n", "rho=-0.1",
+                     id="phase-negative-rho"),
+        pytest.param("phase", "grid_n = 500\ngrid_s = 3, 20\n", "|j| <= p",
+                     id="phase-s-above-p"),
+        pytest.param("phase", "grid_n = 1, 500\n", "n=1", id="phase-undersized-n"),
+        pytest.param("persist", "grid_n = 1, 500\ngrid_r = 2.0\n", "n=1",
+                     id="persist-undersized-n"),
+        pytest.param("phase", "model = toy\nt = 0.3\ngrid_n = 500\n", "alpha = 0",
+                     id="phase-toy-alpha-zero"),
+    ])
+    def test_config_failing_in_a_trial_exits_one(self, tmp_path, monkeypatch, capsys,
+                                                 command, body, rule):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text("p = 10\nk = 1\ns = 3\nspike_values = 2.0\n" + body)
+        assert main([command, "--config", "cfg.txt"]) == 1
+        assert rule in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.txt"]
+
 
 class TestSolveCmd:
     def test_penalized_toy_solve(self, toy_csv, capsys):
@@ -364,13 +385,15 @@ class TestPhaseCmd:
         assert row["entrywise_min_ok"] in ("true", "false")
         assert row["prob_sample_ok"] in ("true", "false")
 
-    def test_undersized_n_recorded_not_fatal(self, tmp_path, capsys):
-        cfg = self.phase_config(tmp_path, trials=1, grid={"n": (1, 5000)})
+    def test_failed_solve_is_a_row(self, tmp_path, capsys):
+        # NotConverged is a solve outcome: the sweep records it and exits 0
+        cfg = self.phase_config(tmp_path, trials=2, grid={"n": (500,)},
+                                tolerances={"max_iters": 1})
         assert cmd_phase(cfg) == 0
         capsys.readouterr()
         rows = read_rows(cfg.output_path)
-        assert rows[0]["error"] != ""
-        assert rows[1]["error"] == ""
+        assert len(rows) == 2
+        assert all("max_iters" in row["error"] for row in rows)
 
     def test_unknown_model_is_an_input_error(self, tmp_path):
         cfg = self.phase_config(tmp_path, model="banana")
