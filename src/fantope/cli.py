@@ -427,6 +427,7 @@ def cmd_clique(p, s, trials, seed, rho_mult=CLIQUE_RHO_MULT,
     trials = _integer("trials", trials)
     # the penalty below divides by p - 1 and takes log p
     p = _integer("p", p, least=3)
+    s = _integer("s", s, least=2)
     seed = _resolve_seed(seed)
     rho = rho_mult * math.sqrt(math.log(p) / (p - 1))
     cfg = SolverConfig(k=1, rho=rho, support_tol=support_tol)

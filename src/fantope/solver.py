@@ -8,9 +8,11 @@ sparse (entrywise soft-threshold), and a scaled multiplier U gluing them
 together.  At a fixed point (step/rho) * U is a subgradient of the l1
 term, which is what makes the dual certificate recoverable from the
 multiplier for free.  Every form takes the same step (scaled ADMM, Boyd et
-al. 2011, section 3.1.1): the H-block projects
-M = (step/(tau + step)) (Y - U) + S/(tau + step), and the Y-block
-soft-thresholds H + U at a level, rho/step for the penalized forms.
+al. 2011, section 3.1.1), written on one p x p matrix v, the Y-block's
+input (the Douglas-Rachford form of the same ADMM): Y = soft(v) at a
+level, rho/step for the penalized forms, and U = v - Y; the H-block
+projects M = (step/(tau + step)) (2Y - v) + S/(tau + step), and the
+step is T(v) = v + 1.5 (H - Y).
 
 The budget form, max <S, H> subject to ||H||_1,1 <= R, runs the same loop
 with the Y-block projecting onto the l1 ball of radius R: the soft-threshold
@@ -29,15 +31,30 @@ to 3k); the balanced step solves all 216, with a median of 58 and at most
 3658 iterations.
 
 The step is over-relaxed (Eckstein & Bertsekas 1992; Boyd et al. 2011,
-section 3.4.3): the Y- and U-updates read H_rel = 1.5 H + (1 - 1.5) Y_prev
-in place of the fresh projection H.  The residuals, the stopping rule and
-the per-iteration work are those of the plain step.  At a fixed point
-H = Y = Y_prev, so H_rel = H: the limit, the multiplier Z = (step/rho) U
-read from it, and every warm-start fixed point (a resumed solve stops in
-an iteration or two) are the plain iteration's.  Relaxation cuts the
-iterations of a typical solve by about a third (p=200 spiked samples:
-about 41 against 63); an instance the plain step finishes in a handful of
-iterations can take more (the 3x3 toy: 23 against 3).
+section 3.4.3): the factor 1.5 in T is 1 in the plain step.  The
+residuals, the stopping rule and the per-iteration work are those of the
+plain step.  At a fixed point H = Y, so the limit, the multiplier
+Z = (step/rho) U read from it, and every warm-start fixed point (a resumed
+solve stops in an iteration or two) are the plain iteration's.
+Relaxation cuts the iterations of a typical solve by about a third (p=200
+spiked bench samples: 38-40 against 59-62 on the full loop, 42-52 against
+64-79 on the 5x5 screened block), but an instance the plain step finishes
+in a handful of iterations can take more (the 3x3 toy: 23 against 3).
+
+Where every projection is exact anyway (a penalized or elastic-net loop
+with 4 (k + 2) > p: the screened blocks, the witness's |J| x |J| solve,
+toy problems), v is extrapolated by safeguarded type-II Anderson
+acceleration of T (Walker & Ni 2011; Fu, Zhang & Boyd 2020): memory 5, a
+least-squares fit regularized by 1e-10 times the trace of its Gram matrix
+plus ||T(v) - v||^2, and an extrapolated v kept only if ||T(v) - v|| falls
+below the last accepted point's; otherwise the loop restarts from that
+point's plain step with the memory cleared.  A cold start's first step,
+from Y = (k/p) I rather than soft(v), stays out of the memory.  The bench
+samples' 5x5 blocks then take 16-22 iterations instead of 42-52, and the
+toy 4.  The Ritz-tracked loop below and the budget form keep the plain
+step: extrapolated M move further between iterations, so more Ritz steps
+are refused (the bench samples' full loop: 7-10 full eigh instead of 3,
+for 16-19 iterations instead of 38-40).
 
 The projection needs only the eigenpairs above the water level, about k
 of them near a solution, and the H-block's input M moves little between
@@ -325,54 +342,116 @@ class _Run(NamedTuple):
     stalled: bool
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of the loop's map v -> T(v).
+
+    Keeps the differences dT and dF of T(v_i) and of the residuals
+    f_i = T(v_i) - v_i over the last _AA_MEMORY + 1 accepted points, and
+    extrapolates from v to T(v) - dT gamma, gamma minimizing
+    ||f - dF gamma||^2 + reg ||gamma||^2 with
+    reg = _AA_REG (tr(dF^T dF) + ||f||^2) (Walker & Ni 2011; Fu, Zhang &
+    Boyd 2020); the ||f||^2 term keeps differences at rounding level, which
+    carry no secant information, from blowing gamma up.  An extrapolated
+    point whose residual does not fall below that of the last accepted point
+    is dropped: the loop restarts from the plain step T of that point, with
+    the memory cleared.  (Where soft(v) is flat the residual is too, and
+    extrapolated points of equal residual would drift without bound.)
+    """
+
+    def __init__(self, n):
+        self.d_t, self.d_f = np.empty((_AA_MEMORY, n)), np.empty((_AA_MEMORY, n))
+        self.count = 0      # differences written, cyclically (their order does not matter)
+        self.last = None    # (T(v), f) at the last accepted v, flattened
+        self.plain = None   # (T(v), soft(T(v))) there
+        self.res = np.inf   # ||f|| there
+        self.extrapolated = False
+
+    def next(self, v, t, y_t, level):
+        """The loop's next (v, Y), after the step from v reached t = T(v) with soft(t) = y_t."""
+        f = (t - v).ravel()
+        res = float(np.sqrt(f @ f))
+        if self.extrapolated and res >= self.res:
+            self.count, self.last, self.extrapolated = 0, None, False
+            return self.plain
+        t_flat = t.ravel()
+        if self.last is not None and _AA_MEMORY:
+            row = self.count % _AA_MEMORY
+            np.subtract(t_flat, self.last[0], out=self.d_t[row])
+            np.subtract(f, self.last[1], out=self.d_f[row])
+            self.count += 1
+        self.last, self.plain, self.res = (t_flat, f), (t, y_t), res
+        used = min(self.count, _AA_MEMORY)
+        d_f = self.d_f[:used]
+        gram = d_f @ d_f.T
+        reg = _AA_REG * (gram.trace() + res * res)
+        self.extrapolated = used > 0 and reg > 0.0
+        if not self.extrapolated:
+            return t, y_t
+        gram.flat[::used + 1] += reg
+        x = t - (np.linalg.solve(gram, d_f @ f) @ self.d_t[:used]).reshape(t.shape)
+        return x, soft_threshold(x, level)
+
+
 def _loop(s, k, cfg, start=None, eig=None, budget=None):
     """The splitting loop on the raw symmetric array s; returns its _Run.
 
-    start is a trusted (Y, U) pair of arrays shaped like s.  Without one,
-    iteration 1 projects M0 = (S + step (k/p) I)/(tau + step); eig, the
-    ascending eigenpairs of s when the caller holds them (cold starts only),
-    gives M0's shifted and scaled, so the cold start takes no eigh of its
-    own (else M0 is decomposed).  Every iteration takes the one step of the
-    module docstring; the forms differ only in the soft-threshold level:
-    rho/step without a budget; with a budget R the level that projects onto
-    the l1 ball of radius R, and the step is balanced.
+    The loop's state is v, the Y-step's input: Y = soft(v) at the level and
+    U = v - Y.  start is a trusted v shaped like s, read at the level
+    rho/step (penalized solves resume; budget solves start cold).  Without
+    one the loop starts from Y = (k/p) I, U = 0, so iteration 1 projects
+    M0 = (S + step (k/p) I)/(tau + step); eig, the ascending eigenpairs of s
+    when the caller holds them (cold starts only), gives M0's shifted and
+    scaled, so the cold start takes no eigh of its own (else M0 is
+    decomposed).  Every iteration takes the one step T of the module
+    docstring; the forms differ only in the soft-threshold level: rho/step
+    without a budget; with a budget R the level that projects onto the l1
+    ball of radius R, and the step is balanced.  Without a budget, a loop
+    whose every projection is exact (4 (k + _RITZ_MARGIN) > p) extrapolates
+    v by _Anderson.
     """
     p = s.shape[0]
     rho, tau, sigma = cfg.rho, cfg.tau_en, cfg.admm_step
-    # the H-step's input is shrink * (Y - U) + s_scaled for every tau >= 0
+    # the H-step's input is shrink * (2Y - v) + s_scaled for every tau >= 0
     shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
-    y, u = start if start is not None else ((k / p) * np.eye(p), np.zeros((p, p)))
+    level = rho / sigma
+    if start is None:
+        v = y = (k / p) * np.eye(p)
+    else:
+        v, y = start, soft_threshold(start, level)
     # the loop's m below at Y = (k/p) I, U = 0
     cold = None if eig is None else ((1.0 / (tau + sigma)) * eig[0] + shrink * (k / p), eig[1])
+    accel = _Anderson(p * p) if budget is None and 4 * (k + _RITZ_MARGIN) > p else None
 
     tol = cfg.eps * np.sqrt(p)
     window = 1000
     hist = np.empty(window)  # max(r_p, r_d) of the last window iterations, cyclic
     ref = None  # (M_ref, lambda_{r+1}(M_ref), tracked top-r block) for the Ritz step
     for it in range(1, cfg.max_iters + 1):
-        m = y - u
+        m = 2.0 * y - v
         m *= shrink
         m += s_scaled
         # a Ritz step when one is tracked, else (or on refusal, or to exit) the full eigh
         for exact in (ref is None, True):
             if exact:
-                h, _, gamma, v, g = _project(m, k, cold)
+                h, _, gamma, vecs, g = _project(m, k, cold)
                 cold = None
-                ref = _reference(m, gamma, v, g)
+                ref = _reference(m, gamma, vecs, g)
             else:
                 # Weyl: lambda_{r+1}(m) <= lambda_{r+1}(M_ref) + ||m - M_ref||_F
-                m_ref, lam_ref, v = ref
-                step = _ritz_project(m, k, v, lam_ref + float(np.linalg.norm(m - m_ref)),
+                m_ref, lam_ref, vecs = ref
+                step = _ritz_project(m, k, vecs, lam_ref + float(np.linalg.norm(m - m_ref)),
                                      _RITZ_RES_FRAC * min(r_p, r_d))
                 if step is None:
                     continue
-                h, v, g = step
-                ref = (m_ref, lam_ref, v)
-            # H_rel + U is the Y-step's input; less Y_new, it is the new multiplier
-            u_new = _RELAX * h + (1.0 - _RELAX) * y + u
-            level = rho / sigma if budget is None else _l1_level(u_new, budget)
-            y_new = soft_threshold(u_new, level)
-            u_new -= y_new
+                h, vecs, g = step
+                ref = (m_ref, lam_ref, vecs)
+            # T(v) = v + _RELAX (H - Y): the relaxed H-step plus the multiplier U
+            v_new = h - y
+            v_new *= _RELAX
+            v_new += v
+            if budget is not None:
+                level = _l1_level(v_new, budget)
+            y_new = soft_threshold(v_new, level)
             r_p = float(np.linalg.norm(h - y_new))
             r_d = float(sigma * np.linalg.norm(y_new - y))
             hist[(it - 1) % window] = max(r_p, r_d)
@@ -389,7 +468,11 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
             # every exit leaves from an exact projection: redo a Ritz step that would stop
             if exact or not done:
                 break
-        y, u = y_new, u_new
+        # a cold start's Y = (k/p) I is not soft(v), so its step is no sample of T
+        if accel is None or done or (it == 1 and start is None):
+            v, y = v_new, y_new
+        else:
+            v, y = accel.next(v, v_new, y_new, level)
         # the last iteration leaves before a rebalance could rescale the U it reports
         if done:
             break
@@ -399,9 +482,9 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
             f = 2.0 if r_p > _BALANCE * r_d else 0.5 if r_d > _BALANCE * r_p else 1.0
             if f != 1.0:
                 sigma *= f
-                u = u / f
+                v = y + (v - y) / f
                 shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
-    return _Run(h, g, u, sigma, level, it, r_p, r_d, converged, stalled)
+    return _Run(h, g, v - y, sigma, level, it, r_p, r_d, converged, stalled)
 
 
 def _read_out(s, k, cfg, run, h, z_raw, rho, rows):
@@ -476,7 +559,7 @@ def _solve_raw(sym, cfg, start=None, budget=None):
     if cfg.rho > 0.0 and budget is None:
         rows = _screen(s, cfg.rho, k)
         if 4 * rows.size <= p:
-            block = None if start is None else [a[np.ix_(rows, rows)] for a in start]
+            block = None if start is None else start[np.ix_(rows, rows)]
             run = _loop(s[np.ix_(rows, rows)], k, cfg, block)
             if run.converged:
                 h = _embed(run.h, rows, np.zeros((p, p)))
@@ -517,10 +600,11 @@ def solve_fps(s, config, warm=None):
     start = None
     if warm is not None:
         _check_solution(warm, sym.dim, config.k)
-        # the loop state (Y, U) at the pair: Y = H and U = (rho/step) W, with
+        # the loop state v = Y + U at the pair: Y = H and U = (rho/step) W, with
         # W = Z + I a subgradient of ||H||_1,1 too (W_ii = 1 = sign(H_ii)
-        # wherever H_ii > 0, and <W, H> = <Z, H> + k on the Fantope)
-        start = warm.H.entries, (config.rho / config.admm_step) * (warm.Z + np.eye(sym.dim))
+        # wherever H_ii > 0, and <W, H> = <Z, H> + k on the Fantope), so
+        # soft(v) = H at the level rho/step
+        start = warm.H.entries + (config.rho / config.admm_step) * (warm.Z + np.eye(sym.dim))
     return _solve_raw(sym, config, start)[0]
 
 
@@ -557,8 +641,8 @@ def solve_fps_constrained(s, r_level, config):
 # unique; the two routes agree when their H differ by at most _UNIQUE_TOL
 _GAP_TIE_TOL = 1e-10
 _UNIQUE_TOL = 1e-5
-# over-relaxation of the splitting step: the Y- and U-updates read
-# _RELAX * H + (1 - _RELAX) * Y_prev in place of H (1 is the plain step)
+# over-relaxation of the splitting step T(v) = v + _RELAX (H - Y) (1 is the
+# plain step)
 _RELAX = 1.5
 # the budget form's step follows its residuals (Boyd et al. 2011, section
 # 3.4.1), checked every _BALANCE_EVERY iterations
@@ -568,6 +652,10 @@ _BALANCE_EVERY = 20
 # weighted Ritz residual may be _RITZ_RES_FRAC of the last min(r_p, r_d)
 _RITZ_MARGIN = 2
 _RITZ_RES_FRAC = 0.1
+# _Anderson keeps _AA_MEMORY differences and regularizes its least squares
+# by _AA_REG times the trace of their Gram matrix plus ||f||^2
+_AA_MEMORY = 5
+_AA_REG = 1e-10
 
 
 def uniqueness_probe(s, config, solution=None):

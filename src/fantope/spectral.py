@@ -91,6 +91,7 @@ class Spectrum:
 # trace may leave k (relative to k)
 _FANTOPE_EIG_TOL = 1e-8
 _FANTOPE_TRACE_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -178,42 +179,52 @@ def _water_fill(gamma, k):
     gamma is ascending and has at least k entries.  The water level solves
     phi(theta) = sum_j clip(gamma_j - theta, 0, 1) = k.  phi is continuous,
     piecewise linear and non-increasing, with kinks only at gamma_j and
-    gamma_j - 1, so it is evaluated at every kink from prefix sums of the
-    sorted spectrum, and the root is interpolated on the one segment where
-    phi crosses k (the largest root when phi is flat at k).
+    gamma_j - 1, and phi(gamma_max) = 0.  The scan walks the kinks down from
+    gamma_max, tracking the weighted and saturated entries and the sum of the
+    weighted ones, to the first kink where phi reaches k (the largest root
+    when phi is flat at k); the root is then exact on the segment above it.
+    It runs on gamma - gamma_max with sums taken from the top, so its
+    rounding scales with the entries near the water level, not with
+    max |gamma| (theta is shift-equivariant).  Weights that still miss k by
+    _FANTOPE_TRACE_TOL * k raise NumericalFailure.
     """
     p = gamma.shape[0]
-    if k == p:
-        # every clipped eigenvalue must saturate at 1
-        theta = float(gamma[0]) - 1.0
+    top = float(gamma[-1])
+    shifted = gamma - top
+    d = shifted[::-1].tolist()  # descending, d[0] = 0
+    # entries d[ns:na] are weighted, d[:ns] saturated; act sums the weighted
+    na = ns = 0
+    act, upper = 0.0, 0.0
+    while ns < p:
+        c_on = d[na] if na < p else -np.inf  # next entry to gain weight
+        c_sat = d[ns] - 1.0                   # next entry to saturate
+        c = max(c_on, c_sat)
+        phi = ns + act - (na - ns) * c
+        # slackened by phi's rounding near a kink
+        if phi >= k - 16.0 * p * _EPS * (k - c):
+            break
+        if c_on >= c_sat:
+            act += c_on
+            na += 1
+        else:
+            act -= d[ns]
+            ns += 1
+        upper = c
     else:
-        cands = np.sort(np.concatenate([gamma - 1.0, gamma]))
-        csum = np.concatenate([[0.0], np.cumsum(gamma)])
-        lo = np.searchsorted(gamma, cands, side="right")       # gamma_j <= c: 0
-        hi = np.searchsorted(gamma, cands + 1.0, side="left")  # gamma_j >= c+1: 1
-        phis = (p - hi) + (csum[hi] - csum[lo]) - (hi - lo) * cands
-        # phi(cands[0]) = p >= k and phi(cands[-1]) = 0 < k, so a crossing exists;
-        # the comparison is slackened by phi's rounding near a kink, ~p*eps
-        # times the magnitudes summed (a wider slack takes a kink the root
-        # lies before, and the interpolation then overshoots it)
-        slack = 16.0 * p * np.finfo(float).eps * (k + float(np.max(np.abs(gamma))))
-        above = np.nonzero(phis >= k - slack)[0]
-        if above.size == 0:
-            raise NumericalFailure("water-level scan found no feasible segment")
-        i = int(above[-1])
-        theta = float(cands[i])
-        if i < len(cands) - 1 and phis[i] != k:
-            # phis[i] ~>= k > phis[i+1]: strict drop, linear on the segment
-            frac = (phis[i] - k) / (phis[i] - phis[i + 1])
-            theta += float(frac * (cands[i + 1] - cands[i]))
-    g = np.clip(gamma - theta, 0.0, 1.0)
+        raise NumericalFailure("water-level scan found no feasible segment")
+    # phi ~= k at the kink, else phi is linear with slope -(na - ns) above it
+    t = c if phi <= k else min(max((ns + act - k) / (na - ns), c), upper)
+    g = np.clip(shifted - t, 0.0, 1.0)
     # one Newton correction on the active linear segment mops up roundoff
     resid = float(g.sum()) - k
     active = int(np.count_nonzero((g > 0.0) & (g < 1.0)))
     if resid != 0.0 and active:
-        theta += resid / active
-        g = np.clip(gamma - theta, 0.0, 1.0)
-    return theta, g
+        t += resid / active
+        g = np.clip(shifted - t, 0.0, 1.0)
+        resid = float(g.sum()) - k
+    if not abs(resid) <= _FANTOPE_TRACE_TOL * k:
+        raise NumericalFailure(f"water-level weights sum to {k + resid!r}, not k={k}")
+    return top + t, g
 
 
 def _rebuild(v, g):
@@ -259,7 +270,8 @@ def _ritz_project(m, k, v, ceiling, res_tol):
       - every weighted Ritz pair has residual ||m x_j - mu_j x_j|| <= res_tol.
     Returns (h, x, g): the projection, and the top r Ritz vectors (the next
     block) with their weights; or None, without building H, when either
-    check fails or the small eigh does (the full eigh then reports it).
+    check fails, no Ritz pair is weighted, or the small eigh or the water
+    fill fails (the full eigh then decides).
     """
     r = v.shape[1]
     q, _ = np.linalg.qr(np.hstack([v, m @ v]))
@@ -270,10 +282,13 @@ def _ritz_project(m, k, v, ceiling, res_tol):
     except np.linalg.LinAlgError:
         return None
     mu, y = mu[-r:], y[:, -r:]
-    theta, g = _water_fill(mu, k)
-    if not ceiling < theta:
+    try:
+        theta, g = _water_fill(mu, k)
+    except NumericalFailure:
         return None
     w = g > 0.0
+    if not (ceiling < theta and w.any()):
+        return None
     x = q @ y
     res = np.linalg.norm(mq @ y[:, w] - x[:, w] * mu[w], axis=0)
     if not float(res.max()) <= res_tol:

@@ -303,7 +303,7 @@ class TestCliqueCmd:
         pytest.param(10, 3, 2.5, id="10-2.5"),
         pytest.param(10, 3, True, id="10-True"),
         pytest.param(10.5, 3, 1, id="10.5-1"),
-        (10, 300, 2), (10, 1, 2), (10, 2.5, 2),
+        (10, 300, 2), (10, 1, 2), (10, 2.5, 2), (20, 5.5, 1),
     ])
     def test_non_integer_size_or_trials_is_an_input_error(self, tmp_path, monkeypatch,
                                                            p, s, trials):
@@ -311,6 +311,13 @@ class TestCliqueCmd:
         with pytest.raises(InvalidInput):
             cmd_clique(p, s, trials, 1)
         assert list(tmp_path.iterdir()) == []
+
+    def test_integer_valued_size_is_stored_as_int(self, tmp_path, capsys):
+        out = str(tmp_path / "cl.csv")
+        assert cmd_clique(20, 5.0, 1, 1, out=out) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["s"] == 5 and type(config["s"]) is int
+        assert read_rows(out)[0]["s"] == "5"
 
     def test_oversized_clique_is_an_input_error(self, tmp_path, monkeypatch):
         # no --out: nothing lands in the working directory either

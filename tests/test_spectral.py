@@ -3,14 +3,16 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import fantope.spectral
 from fantope.diagnostics import check_sps
-from fantope.errors import InvalidInput
+from fantope.errors import InvalidInput, NumericalFailure
 from fantope.solver import _GAP_TIE_TOL
 from fantope.spectral import (
     FantopePoint,
     SymMat,
     _project,
     _ritz_project,
+    _water_fill,
     as_sym,
     eig_sym,
     fantope_project,
@@ -105,6 +107,28 @@ class TestFantopeProject:
     def test_k_equals_p_gives_identity(self):
         res = fantope_project(rand_sym(np.random.default_rng(0), 4), 4)
         npt.assert_allclose(res.point.entries, np.eye(4), atol=1e-12)
+
+    def test_large_magnitude_keeps_the_weights(self):
+        # a slack scaled by max |gamma| once took every kink, leaving g = 0
+        _, g = _water_fill(np.array([3.47, 3.77, 1e15]), 1)
+        assert g.tolist() == [0.0, 0.0, 1.0]
+        res = fantope_project(np.diag([3.47, 3.77, 1e15]), 1)
+        npt.assert_array_equal(res.point.entries, np.diag([0.0, 0.0, 1.0]))
+        assert res.point.constraint_residual == 0.0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e12, -1e14])
+    def test_weights_sum_to_k_at_any_offset(self, offset):
+        # the scan runs on gamma - max(gamma): its rounding follows the
+        # entries near the water level, not the offset
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            p = int(rng.integers(1, 30))
+            k = int(rng.integers(1, p + 1))
+            base = np.sort(rng.normal(scale=float(rng.uniform(0.1, 5.0)), size=p))
+            theta, g = _water_fill(base + offset, k)
+            assert abs(float(g.sum()) - k) <= 1e-8 * k
+            assert np.all((g >= 0.0) & (g <= 1.0))
+            assert abs(theta - offset - _water_fill(base, k)[0]) <= 1e-9 * (1.0 + abs(offset))
 
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(11)
@@ -327,6 +351,22 @@ class TestRitzStep:
         theta = _project(m, k)[1]
         ceiling = theta + slack + 1e-12 * (1.0 + abs(theta))
         assert _ritz_project(m, k, v, ceiling, np.inf) is None
+
+
+    @staticmethod
+    def unweighted_fill(mu, k):
+        return float(mu[-1]), np.zeros_like(mu)
+
+    @staticmethod
+    def failed_fill(mu, k):
+        raise NumericalFailure("water-level scan found no feasible segment")
+
+    @pytest.mark.parametrize("fill", ["unweighted_fill", "failed_fill"])
+    def test_unusable_water_fill_is_refused(self, monkeypatch, fill):
+        # the full eigh decides instead: a refusal, not an error
+        m = np.diag(np.arange(12.0))
+        monkeypatch.setattr(fantope.spectral, "_water_fill", getattr(self, fill))
+        assert _ritz_project(m, 1, np.eye(12)[:, -3:], 0.0, np.inf) is None
 
 
 class TestFantopePoint:
