@@ -374,7 +374,7 @@ class _Anderson:
             self.count, self.last, self.extrapolated = 0, None, False
             return self.plain
         t_flat = t.ravel()
-        if self.last is not None and _AA_MEMORY:
+        if self.last is not None:
             row = self.count % _AA_MEMORY
             np.subtract(t_flat, self.last[0], out=self.d_t[row])
             np.subtract(f, self.last[1], out=self.d_f[row])

@@ -187,6 +187,12 @@ def _water_fill(gamma, k):
     rounding scales with the entries near the water level, not with
     max |gamma| (theta is shift-equivariant).  Weights that still miss k by
     _FANTOPE_TRACE_TOL * k raise NumericalFailure.
+
+    The scan is a Python loop because it stops at the water level: on the
+    solver's spectra it visits about 2k kinks and takes ~20 us, against
+    ~55 us for evaluating phi at all 2p kinks with numpy, whose per-call
+    overhead dominates at these sizes.  A spectrum clustered within 1 of
+    its top makes it walk O(p) kinks (~130 us at p = 200).
     """
     p = gamma.shape[0]
     top = float(gamma[-1])
