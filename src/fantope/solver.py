@@ -16,19 +16,16 @@ step is T(v) = v + 1.5 (H - Y).
 
 The budget form, max <S, H> subject to ||H||_1,1 <= R, runs the same loop
 with the Y-block projecting onto the l1 ball of radius R: the soft-threshold
-at the level read off the sorted magnitudes (Duchi et al., ICML 2008).  At a
-fixed point U = level * sign(H) on the support, so the answer is the
-penalized one at rho* = step * level.  Its maximizer is unchanged when S
-is rescaled, so the loop starts at step admm_step * ||S||_2, the iteration
-that S / ||S||_2 would take.  Every 20 iterations it also doubles (halves)
-the step while the primal (dual) residual is over ten times the other,
-rescaling U to keep the multiplier step * U (residual balancing, Boyd et
-al. 2011, section 3.4.1).  On the p=50, n=2000 resamples of the
-persistence gate the fixed step 1 stalls on one and takes 4114-7452
-iterations on three others.  The fixed step ||S||_2 converges on all of
-them but stalls on 6 of 216 wider inputs (p=30-50, k=1-2, n=500-2000, R up
-to 3k); the balanced step solves all 216, with a median of 58 and at most
-3658 iterations.
+at the level read off the sorted magnitudes (Duchi et al., ICML 2008), read
+again at every v the loop moves to.  At a fixed point U = level * sign(H) on
+the support, so the answer is the penalized one at rho* = step * level.  Its
+maximizer is unchanged when S is rescaled, so the loop steps at the fixed
+admm_step * ||S||_2, the iteration that S / ||S||_2 would take.  On 216
+spiked inputs (gen_spiked(p, k, range(5), spikes, 1.0, seed) with p in
+{30, 40, 50}, k = 1 with spikes (2,) or k = 2 with (3, 2), n in {500, 1000,
+2000}, seed in {1, 2, 3}, sample seed 1000 seed + n + p, R in {k + 1/2,
+3k/2, 2k, 3k}) the accelerated loop below converges on all 216, with a
+median of 27, a 90th percentile of 712 and at most 2145 iterations.
 
 The step is over-relaxed (Eckstein & Bertsekas 1992; Boyd et al. 2011,
 section 3.4.3): the factor 1.5 in T is 1 in the plain step.  The
@@ -43,18 +40,21 @@ in a handful of iterations can take more (the 3x3 toy: 23 against 3).
 
 Where every projection is exact anyway (a penalized or elastic-net loop
 with 4 (k + 2) > p: the screened blocks, the witness's |J| x |J| solve,
-toy problems), v is extrapolated by safeguarded type-II Anderson
-acceleration of T (Walker & Ni 2011; Fu, Zhang & Boyd 2020): memory 5, a
-least-squares fit regularized by 1e-10 times the trace of its Gram matrix
-plus ||T(v) - v||^2, and an extrapolated v kept only if ||T(v) - v|| falls
-below the last accepted point's; otherwise the loop restarts from that
-point's plain step with the memory cleared.  A cold start's first step,
-from Y = (k/p) I rather than soft(v), stays out of the memory.  The bench
-samples' 5x5 blocks then take 16-22 iterations instead of 42-52, and the
-toy 4.  The Ritz-tracked loop below and the budget form keep the plain
-step: extrapolated M move further between iterations, so more Ritz steps
-are refused (the bench samples' full loop: 7-10 full eigh instead of 3,
-for 16-19 iterations instead of 38-40).
+toy problems), and in every budget loop, v is extrapolated by safeguarded
+type-II Anderson acceleration of T (Walker & Ni 2011; Fu, Zhang & Boyd
+2020): memory 5, a least-squares fit regularized by 1e-10 times the trace
+of its Gram matrix plus ||T(v) - v||^2, and an extrapolated v kept only if
+||T(v) - v|| falls below the last accepted point's; otherwise the loop
+restarts from that point's plain step with the memory cleared.  A cold
+start's first step, from Y = (k/p) I rather than soft(v), stays out of the
+memory.  The bench samples' 5x5 blocks then take 16-22 iterations instead
+of 42-52, and the toy 4.  Extrapolated M move further between iterations,
+so more Ritz steps (below) are refused.  The Ritz-tracked penalized loop
+therefore keeps the plain step (the bench samples' full loop: 7-10 full
+eigh instead of 3, for 16-19 iterations instead of 38-40).  The budget
+loop does not: on the 216 inputs above the plain step stalls on 14 and
+takes 279198 iterations in all, the accelerated one 44470, at 0.15 full
+eigh per iteration instead of 0.004.
 
 The projection needs only the eigenpairs above the water level, about k
 of them near a solution, and the H-block's input M moves little between
@@ -333,7 +333,6 @@ class _Run(NamedTuple):
     h: np.ndarray       # the last (exact) projection
     g: np.ndarray       # its clipped eigenvalues
     u: np.ndarray       # the scaled multiplier
-    sigma: float        # the step at exit (balanced for the budget form)
     level: float        # the last soft-threshold level
     iters: int
     r_p: float
@@ -366,8 +365,11 @@ class _Anderson:
         self.res = np.inf   # ||f|| there
         self.extrapolated = False
 
-    def next(self, v, t, y_t, level):
-        """The loop's next (v, Y), after the step from v reached t = T(v) with soft(t) = y_t."""
+    def next(self, v, t, y_t, level_of):
+        """The loop's next (v, Y), after the step from v reached t = T(v) with soft(t) = y_t.
+
+        level_of(x) is the soft-threshold level at a loop state x.
+        """
         f = (t - v).ravel()
         res = float(np.sqrt(f @ f))
         if self.extrapolated and res >= self.res:
@@ -389,7 +391,7 @@ class _Anderson:
             return t, y_t
         gram.flat[::used + 1] += reg
         x = t - (np.linalg.solve(gram, d_f @ f) @ self.d_t[:used]).reshape(t.shape)
-        return x, soft_threshold(x, level)
+        return x, soft_threshold(x, level_of(x))
 
 
 def _loop(s, k, cfg, start=None, eig=None, budget=None):
@@ -403,24 +405,28 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
     when the caller holds them (cold starts only), gives M0's shifted and
     scaled, so the cold start takes no eigh of its own (else M0 is
     decomposed).  Every iteration takes the one step T of the module
-    docstring; the forms differ only in the soft-threshold level: rho/step
-    without a budget; with a budget R the level that projects onto the l1
-    ball of radius R, and the step is balanced.  Without a budget, a loop
-    whose every projection is exact (4 (k + _RITZ_MARGIN) > p) extrapolates
-    v by _Anderson.
+    docstring at the fixed step admm_step; the forms differ only in the
+    soft-threshold level, level_of(v): rho/step without a budget; with a
+    budget R the level that projects v onto the l1 ball of radius R.  A
+    budget loop, and a penalized loop whose every projection is exact
+    (4 (k + _RITZ_MARGIN) > p), extrapolates v by _Anderson.
     """
     p = s.shape[0]
     rho, tau, sigma = cfg.rho, cfg.tau_en, cfg.admm_step
     # the H-step's input is shrink * (2Y - v) + s_scaled for every tau >= 0
     shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
-    level = rho / sigma
+
+    def level_of(x):
+        # the Y-step's soft-threshold level at the loop state x
+        return rho / sigma if budget is None else _l1_level(x, budget)
+
     if start is None:
         v = y = (k / p) * np.eye(p)
     else:
-        v, y = start, soft_threshold(start, level)
+        v, y = start, soft_threshold(start, level_of(start))
     # the loop's m below at Y = (k/p) I, U = 0
     cold = None if eig is None else ((1.0 / (tau + sigma)) * eig[0] + shrink * (k / p), eig[1])
-    accel = _Anderson(p * p) if budget is None and 4 * (k + _RITZ_MARGIN) > p else None
+    accel = _Anderson(p * p) if budget is not None or 4 * (k + _RITZ_MARGIN) > p else None
 
     tol = cfg.eps * np.sqrt(p)
     window = 1000
@@ -449,8 +455,7 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
             v_new = h - y
             v_new *= _RELAX
             v_new += v
-            if budget is not None:
-                level = _l1_level(v_new, budget)
+            level = level_of(v_new)
             y_new = soft_threshold(v_new, level)
             r_p = float(np.linalg.norm(h - y_new))
             r_d = float(sigma * np.linalg.norm(y_new - y))
@@ -472,19 +477,10 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
         if accel is None or done or (it == 1 and start is None):
             v, y = v_new, y_new
         else:
-            v, y = accel.next(v, v_new, y_new, level)
-        # the last iteration leaves before a rebalance could rescale the U it reports
+            v, y = accel.next(v, v_new, y_new, level_of)
         if done:
             break
-        if budget is not None and it % _BALANCE_EVERY == 0:
-            # residual balancing: double or halve the step while one residual
-            # exceeds _BALANCE times the other; sigma * U is the multiplier, kept
-            f = 2.0 if r_p > _BALANCE * r_d else 0.5 if r_d > _BALANCE * r_p else 1.0
-            if f != 1.0:
-                sigma *= f
-                v = y + (v - y) / f
-                shrink, s_scaled = sigma / (tau + sigma), s / (tau + sigma)
-    return _Run(h, g, v - y, sigma, level, it, r_p, r_d, converged, stalled)
+    return _Run(h, g, v - y, level, it, r_p, r_d, converged, stalled)
 
 
 def _read_out(s, k, cfg, run, h, z_raw, rho, rows):
@@ -563,15 +559,15 @@ def _solve_raw(sym, cfg, start=None, budget=None):
             run = _loop(s[np.ix_(rows, rows)], k, cfg, block)
             if run.converged:
                 h = _embed(run.h, rows, np.zeros((p, p)))
-                z_raw = _embed((run.sigma / cfg.rho) * run.u, rows, s / cfg.rho)
+                z_raw = _embed((cfg.admm_step / cfg.rho) * run.u, rows, s / cfg.rho)
                 sol = _read_out(s, k, cfg, run, h, z_raw, cfg.rho, rows)
                 tol = cfg.eps * np.sqrt(p) * (1.0 + abs(sol.objective))
                 if sol.kkt.fantope_optimality_gap <= tol:
                     return sol, cfg.rho
     eig = sym.spectrum.ascending() if start is None else None
     run = _loop(s, k, cfg, start, eig, budget)
-    rho = cfg.rho if budget is None else run.sigma * run.level
-    z_raw = (run.sigma / rho) * run.u if rho > 0.0 else None
+    rho = cfg.rho if budget is None else cfg.admm_step * run.level
+    z_raw = (cfg.admm_step / rho) * run.u if rho > 0.0 else None
     sol = _read_out(s, k, cfg, run, run.h, z_raw, rho, np.arange(p))
     if not run.converged:
         if run.stalled:
@@ -614,7 +610,7 @@ def solve_fps_constrained(s, r_level, config):
     """Solve max <S, H> over the Fantope subject to ||H||_1,1 <= R.
 
     One run of the splitting loop with the l1-ball Y-step (see the module
-    docstring); config.rho and tau_en are ignored.  The step starts at
+    docstring); config.rho and tau_en are ignored.  The step is
     admm_step * ||S||_2 (admm_step when S = 0), read off the SymMat's
     retained spectrum, which the cold start reads anyway.  Returns
     (solution, rho_star), where rho_star = step * level is the penalty Z,
@@ -644,10 +640,6 @@ _UNIQUE_TOL = 1e-5
 # over-relaxation of the splitting step T(v) = v + _RELAX (H - Y) (1 is the
 # plain step)
 _RELAX = 1.5
-# the budget form's step follows its residuals (Boyd et al. 2011, section
-# 3.4.1), checked every _BALANCE_EVERY iterations
-_BALANCE = 10.0
-_BALANCE_EVERY = 20
 # the Ritz step tracks the weighted eigenpairs plus _RITZ_MARGIN more, and a
 # weighted Ritz residual may be _RITZ_RES_FRAC of the last min(r_p, r_d)
 _RITZ_MARGIN = 2

@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the package's own algorithms: scalar
 bisection instead of breakpoint scans, dense grids instead of ADMM,
-exhaustive enumeration instead of algebraic shortcuts.
+exhaustive enumeration instead of algebraic shortcuts.  Named corpora of
+hard inputs are kept here as parameters, for the tests to build.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,3 +187,35 @@ def two_pass_covariance(x):
     xc = x - x.mean(axis=0, keepdims=True)
     s = xc.T @ xc / x.shape[0]
     return 0.5 * (s + s.T)
+
+
+class BudgetInput(NamedTuple):
+    """A seeded budget-form input, as parameters: the package builds it.
+
+    S is the sample covariance of n draws from
+    gen_spiked(p, k, range(5), spikes, 1.0, model_seed): sample_gaussian's
+    draw with sample seed `seed`, or with rows=True gaussian_rows' one-shot
+    draw with that seed.  The budget is ||H||_1,1 <= r.
+    """
+
+    p: int
+    k: int
+    spikes: tuple
+    model_seed: int
+    n: int
+    seed: int
+    r: float
+    rows: bool = False
+
+
+# Budget-form inputs that stalled or ran long.  The first three are the
+# inputs of a 216-input spiked scan (sample seed 1000 model_seed + n + p)
+# on which the residual-balanced plain step stalled (after 4000, 8000 and
+# 8000 iterations); tail-500000 is that step's slow tail (3658 iterations,
+# a support of 13 where |J| = 5, many entries of H at the threshold level).
+BUDGET_HARD = {
+    "stall-p50-n500": BudgetInput(50, 2, (3.0, 2.0), 1, 500, 1550, 6.0),
+    "stall-p40-n1000": BudgetInput(40, 2, (3.0, 2.0), 1, 1000, 2040, 6.0),
+    "stall-p40-n2000": BudgetInput(40, 2, (3.0, 2.0), 1, 2000, 3040, 6.0),
+    "tail-500000": BudgetInput(30, 1, (2.0,), 3, 500, 500000, 3.0, rows=True),
+}

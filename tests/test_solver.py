@@ -35,8 +35,8 @@ from fantope.solver import (
     uniqueness_probe,
 )
 from fantope.spectral import FantopePoint, as_sym, eig_sym, top_k_projector
-from oracles import (Rows, gaussian_rows, grid_solve_2x2, l1_level_bisect, penalized_objective,
-                     random_feasible_point)
+from oracles import (BUDGET_HARD, Rows, gaussian_rows, grid_solve_2x2, l1_level_bisect,
+                     penalized_objective, random_feasible_point)
 
 TOY = gen_toy(0.0).Sigma.entries
 
@@ -52,6 +52,16 @@ def row_sample(model, n, seed):
     it does not follow sample_gaussian's draw.
     """
     return sample_covariance(Rows(gaussian_rows(model.Sigma.entries, n, seed)))
+
+
+def budget_input(case):
+    """(S, R, k) of an oracles.BudgetInput."""
+    model = gen_spiked(case.p, case.k, range(5), case.spikes, 1.0, case.model_seed)
+    if case.rows:
+        s = row_sample(model, case.n, case.seed)
+    else:
+        s = sample_covariance(sample_gaussian(model, case.n, case.seed))
+    return s, case.r, case.k
 
 
 def spiked_case():
@@ -706,16 +716,16 @@ class TestAcceleration:
         accel, v = fantope.solver._Anderson(4), np.zeros(4)
         for _ in range(7):
             t = a @ v + b
-            v, _ = accel.next(v, t, t, 0.0)
+            v, _ = accel.next(v, t, t, lambda _: 0.0)
         assert np.linalg.norm(v - fixed) <= 1e-8
 
     def test_rejected_extrapolation_restarts_from_the_plain_step(self):
         accel = fantope.solver._Anderson(1)
         for v, t in (([2.0], [1.0]), ([1.0], [0.9])):
-            x, y = accel.next(np.array(v), np.array(t), np.array(t), 0.0)
+            x, y = accel.next(np.array(v), np.array(t), np.array(t), lambda _: 0.0)
         assert accel.extrapolated
         # the extrapolated point's residual 5 exceeds the accepted one's 0.1
-        back, y_back = accel.next(x, x + 5.0, x + 5.0, 0.0)
+        back, y_back = accel.next(x, x + 5.0, x + 5.0, lambda _: 0.0)
         assert back.tolist() == y_back.tolist() == [0.9]
         assert (accel.count, accel.extrapolated) == (0, False)
 
@@ -858,13 +868,15 @@ class TestConstrainedSolve:
             solve_fps_constrained(TOY, r, SolverConfig(k=1))
 
     @pytest.mark.parametrize("case", [
-        lambda: (TOY, 1.5),
-        lambda: (gen_spiked(50, 1, range(5), (2.0,), 1.0, 8).Sigma, 2.0),
-    ], ids=["toy", "gate8-population"])
+        lambda: (TOY, 1.5, 1),
+        lambda: (gen_spiked(50, 1, range(5), (2.0,), 1.0, 8).Sigma, 2.0, 1),
+    ] + [lambda c=c: budget_input(c) for c in BUDGET_HARD.values()],
+        ids=["toy", "gate8-population"] + list(BUDGET_HARD))
     def test_kkt_at_rho_star(self, case):
-        # the budget solve is the penalized solve at rho*, and says so
-        s, r = case()
-        sol, rho_star = solve_fps_constrained(s, r, SolverConfig(k=1))
+        # the budget solve is the penalized solve at rho*, and says so; the
+        # hard corpus converges in 678, 2145, 1901 and 972 iterations
+        s, r, k = case()
+        sol, rho_star = solve_fps_constrained(s, r, SolverConfig(k=k, max_iters=3000))
         assert rho_star > 0.0
         rep = check_kkt(s, sol, rho_star)
         assert rep == sol.kkt
@@ -874,25 +886,24 @@ class TestConstrainedSolve:
 
     @pytest.mark.parametrize("max_iters", [279, 280, 281])
     def test_partial_is_read_at_its_last_step(self, max_iters):
-        # the step is rebalanced every 20 iterations; one stopped at a multiple
-        # of 20 is read at the step it ran, not at a doubled one (which halved
-        # Z, broke its signs and lowered the objective to 2.485)
-        model = gen_spiked(30, 1, range(5), (2.0,), 1.0, 3)
-        s = row_sample(model, 500, 500000)
+        # a budget solve stopped early is read at rho* = step * level of its
+        # last iterate: Z = (step / rho*) U keeps |Z| <= 1 with the signs of
+        # H, and the objective is the penalized one at that rho*
+        s, r, k = budget_input(BUDGET_HARD["tail-500000"])
         with pytest.raises(NotConverged) as exc:
-            solve_fps_constrained(s, 3.0, SolverConfig(k=1, max_iters=max_iters))
+            solve_fps_constrained(s, r, SolverConfig(k=k, max_iters=max_iters))
         sol = exc.value.solution
         assert np.max(np.abs(sol.Z)) == pytest.approx(1.0, abs=1e-12)
         assert sol.kkt.sign_mismatch <= 1e-12
         assert sol.objective == pytest.approx(2.669, abs=1e-3)
 
     def test_step_scaled_by_the_spectral_norm(self):
-        # started at step ||S||_2 this resample takes 519 iterations; started
-        # at step 1 it takes 3965
+        # at step ||S||_2 this resample takes 36 iterations; at step 1 it
+        # takes 202
         model = gen_spiked(50, 1, range(5), (2.0,), 1.0, 8)
         s = row_sample(model, 2000, 930)
         sol, _ = solve_fps_constrained(s, 2.0, SolverConfig(k=1, max_iters=2000))
-        assert sol.iters <= 2000
+        assert sol.iters <= 50
 
 
 def probe_with_resume(s, cfg, sol):
