@@ -368,7 +368,7 @@ def build_witness(sigma, s, k, j, rho):
     noise_block = sub_s - rho * z_sub - q @ sigma_jj @ q.T
     opn = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (noise_block + noise_block.T)))))
     if jc.size:
-        opn = max(opn, float(np.max(np.abs(np.diag(wmat[np.ix_(jc, jc)])))))
+        opn = max(opn, float(np.max(np.abs(np.diag(wmat)[jc]))))
 
     valid = (
         q_dev <= q_bound + 1e-9

@@ -94,22 +94,24 @@ covariance thresholding (Mazumder & Hastie, JMLR 2012).  J0 is the set of
 rows with an off-diagonal |S_ij| > rho, topped up with the k rows of
 largest diagonal when it holds fewer than k.  When 4 |J0| <= p the loop
 runs on S[J0, J0] alone, from a warm start restricted to J0 x J0 when one
-is given, and its answer is filled in to p x p as in Lei & Vu's
-primal-dual witness: H is the block's projection embedded in zeros, Z on
-J0 x J0 is the block's multiplier, and Z elsewhere is S/rho with a zero
-diagonal.  Every entry outside J0 x J0 lies in a row or a column
-outside J0, so |S_ij| <= rho there: the fill sits in [-1, 1] without a
-clip, it is a subgradient of |H_ij| = 0, and S - rho Z is block-diagonal
-(the block's gradient on J0, diag(S) off it), so the KKT report reads its
-spectrum off the |J0| x |J0| block merged with that diagonal.  The answer
-stands when the report certifies it, fantope_optimality_gap <=
-eps sqrt(p) (1 + |objective|): H then maximizes <S - rho Z, .> over the
-Fantope, so the pair is optimal for the full problem.  The certificate
-does not depend on where the loop started, so the one rule serves warm and
-cold solves alike.  A refused certificate, or a block run that stalls or
-runs out of iterations, falls back to the full loop, from the warm start
-when one was given.  On the p=200 bench samples J0 is the 5-row support; a
-planted clique screens nothing (|J0| = p) and keeps the full loop.
+is given.  Its answer is completed as in Lei & Vu's primal-dual witness:
+H is the block's projection embedded in zeros, Z on J0 x J0 is the
+block's multiplier, and Z elsewhere is S/rho with a zero diagonal.  Every
+entry outside J0 x J0 lies in a row or a column outside J0, so
+|S_ij| <= rho there: the fill sits in [-1, 1] without a clip, it is a
+subgradient of |H_ij| = 0, and S - rho Z is block-diagonal (the block's
+gradient on J0, diag(S) off it).  So the objective, the support, the
+Z clip and the KKT report are all read on the block, the report's
+spectrum being the block's merged with diag(S) off J0; the only p x p
+work builds the returned H and Z.  The answer stands when the report
+certifies it, fantope_optimality_gap <= eps sqrt(p) (1 + |objective|): H
+then maximizes <S - rho Z, .> over the Fantope, so the pair is optimal
+for the full problem.  The certificate does not depend on where the loop
+started, so the one rule serves warm and cold solves alike.  A refused
+certificate, or a block run that stalls or runs out of iterations, falls
+back to the full loop, from the warm start when one was given.  On the
+p=200 bench samples J0 is the 5-row support; a planted clique screens
+nothing (|J0| = p) and keeps the full loop.
 """
 
 from dataclasses import dataclass, replace
@@ -254,13 +256,12 @@ def _extract_support(h, support_tol, primal_residual):
     return SupportSet(np.nonzero(d > cut)[0].tolist())
 
 
-def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual, tau, rows):
-    """The KKT report of (h, z) on p x p arrays.
+def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual, tau, diag_off=()):
+    """The KKT report of (h, z) on s: a loop's own arrays, or the p x p pair.
 
-    rows are a screened solve's J0, or all of range(p): the gradient
-    S - rho Z - tau H is block-diagonal on them by construction, and its
-    spectrum is read off the rows x rows block merged with its diagonal
-    off rows.
+    Off a screened block H is 0, Z lies in [-1, 1] and S - rho Z - tau H is
+    block-diagonal with diagonal diag_off (diag(S) off J0; empty for a full
+    loop and for check_kkt), so its spectrum is the block's merged with it.
     """
     p = s.shape[0]
     off = ~np.eye(p, dtype=bool)
@@ -279,17 +280,13 @@ def _kkt_arrays(s, h, z, rho, k, support_tol, primal_residual, tau, rows):
     grad = s - rho * z
     if tau:
         grad = grad - tau * h
-    grad_sym = 0.5 * (grad + grad.T)
-    rest = np.ones(p, dtype=bool)
-    rest[rows] = False
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(grad_sym[np.ix_(rows, rows)]),
-                                np.diag(grad_sym)[rest]]))
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(0.5 * (grad + grad.T)), diag_off]))
     gap = float(np.sum(w[-k:])) - float(np.sum(grad * h))
     return KktReport(
         sign_mismatch=sign_mismatch,
         dual_bound_violation=dual_bound_violation,
         fantope_optimality_gap=gap,
-        eigengap=float(w[-k] - w[-k - 1]) if k < p else float("inf"),
+        eigengap=float(w[-k] - w[-k - 1]) if k < w.size else float("inf"),
     )
 
 
@@ -311,7 +308,7 @@ def check_kkt(s, solution, rho, support_tol=1e-6):
     _check_solution(solution, p)
     cfg = SolverConfig(k=solution.H.k, rho=rho, support_tol=support_tol)
     return _kkt_arrays(s, solution.H.entries, solution.Z, cfg.rho, cfg.k,
-                       cfg.support_tol, solution.primal_residual, 0.0, np.arange(p))
+                       cfg.support_tol, solution.primal_residual, 0.0)
 
 
 def _reference(m, gamma, v, g):
@@ -330,6 +327,7 @@ def _reference(m, gamma, v, g):
 class _Run(NamedTuple):
     """The state a splitting loop leaves: its last projection and how it stopped."""
 
+    s: np.ndarray       # the array the loop ran on
     h: np.ndarray       # the last (exact) projection
     g: np.ndarray       # its clipped eigenvalues
     u: np.ndarray       # the scaled multiplier
@@ -480,34 +478,36 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
             v, y = accel.next(v, v_new, y_new, level_of)
         if done:
             break
-    return _Run(h, g, v - y, level, it, r_p, r_d, converged, stalled)
+    return _Run(s, h, g, v - y, level, it, r_p, r_d, converged, stalled)
 
 
-def _read_out(s, k, cfg, run, h, z_raw, rho, rows):
-    """The FpsSolution of a finished run, read off p x p arrays.
+def _read_out(s, k, cfg, run, rho, rows=None):
+    """The FpsSolution of a finished run on S, or on S[J0, J0] with J0 = rows.
 
-    h is the run's projection and z_raw the multiplier (step/rho) U, both
-    already p x p (None at rho = 0).  Z is z_raw symmetrized, its diagonal
-    zeroed and clipped to [-1, 1]; the objective, the support and the KKT
-    report (one eigvalsh, of the rows x rows block: a screened run's J0, or
-    all of range(p)) are evaluated here, once.  working_set is the run's
-    own order.
+    Z is (step/rho) U symmetrized, its diagonal zeroed and clipped to
+    [-1, 1] (0 at rho = 0, where U is 0).  The objective, the support and
+    the KKT report are read once, on the arrays the loop ran on; only then,
+    for a block, are H embedded in zeros, Z in S/rho with a zero diagonal
+    (the screen keeps it inside [-1, 1]) and the support mapped through rows.
     """
-    if rho > 0.0:
-        z_raw = 0.5 * (z_raw + z_raw.T)
-        np.fill_diagonal(z_raw, 0.0)
-        clip_excess = max(0.0, entry_max_norm(z_raw) - 1.0)
-        z = np.clip(z_raw, -1.0, 1.0)
-    else:
-        z = np.zeros_like(s)
-        clip_excess = 0.0
-    tau = cfg.tau_en
+    h, tau = run.h, cfg.tau_en
+    z = (cfg.admm_step / rho if rho > 0.0 else 0.0) * run.u
+    z = 0.5 * (z + z.T)
+    np.fill_diagonal(z, 0.0)
+    clip_excess = max(0.0, entry_max_norm(z) - 1.0)
+    z = np.clip(z, -1.0, 1.0)
+    objective = float(np.sum(run.s * h) - rho * np.sum(np.abs(h)) - 0.5 * tau * np.sum(h * h))
+    support = _extract_support(h, cfg.support_tol, run.r_p)
+    diag_off = () if rows is None else np.delete(np.diag(s), rows)
+    kkt = _kkt_arrays(run.s, h, z, rho, k, cfg.support_tol, run.r_p, tau, diag_off)
+    if rows is not None:
+        support = SupportSet(rows[list(support.indices)].tolist())
+        h = _embed(h, rows, np.zeros(s.shape))
+        z = _embed(z, rows, s / rho)
+        np.fill_diagonal(z, 0.0)
     return FpsSolution(
-        H=_projected_point(h, k, run.g), Z=z,
-        objective=float(np.sum(s * h) - rho * np.sum(np.abs(h)) - 0.5 * tau * np.sum(h * h)),
-        support=_extract_support(h, cfg.support_tol, run.r_p), iters=run.iters,
-        primal_residual=run.r_p, dual_residual=run.r_d,
-        kkt=_kkt_arrays(s, h, z, rho, k, cfg.support_tol, run.r_p, tau, rows),
+        H=_projected_point(h, k, run.g), Z=z, objective=objective, support=support,
+        iters=run.iters, primal_residual=run.r_p, dual_residual=run.r_d, kkt=kkt,
         dual_clip_excess=clip_excess, working_set=run.h.shape[0],
     )
 
@@ -537,9 +537,8 @@ def _solve_raw(sym, cfg, start=None, budget=None):
 
     A penalized solve (rho > 0, no budget) whose screen keeps 4 |J0| <= p
     rows first runs the loop on S[J0, J0], from the loop state start
-    restricted to J0 x J0 when given.  Its H is embedded in p x p zeros and
-    its multiplier fills Z on J0 x J0; Z elsewhere is S/rho, which the
-    screen keeps inside [-1, 1].
+    restricted to J0 x J0 when given.  _read_out reads that run on its
+    block and builds the p x p H and Z only for the answer it returns.
     That answer stands when its KKT report certifies it for the full
     problem.  Otherwise (refused, or a block run that did not converge) the
     full loop runs, from start or, cold, from S's retained spectrum.
@@ -558,17 +557,14 @@ def _solve_raw(sym, cfg, start=None, budget=None):
             block = None if start is None else start[np.ix_(rows, rows)]
             run = _loop(s[np.ix_(rows, rows)], k, cfg, block)
             if run.converged:
-                h = _embed(run.h, rows, np.zeros((p, p)))
-                z_raw = _embed((cfg.admm_step / cfg.rho) * run.u, rows, s / cfg.rho)
-                sol = _read_out(s, k, cfg, run, h, z_raw, cfg.rho, rows)
+                sol = _read_out(s, k, cfg, run, cfg.rho, rows)
                 tol = cfg.eps * np.sqrt(p) * (1.0 + abs(sol.objective))
                 if sol.kkt.fantope_optimality_gap <= tol:
                     return sol, cfg.rho
     eig = sym.spectrum.ascending() if start is None else None
     run = _loop(s, k, cfg, start, eig, budget)
     rho = cfg.rho if budget is None else cfg.admm_step * run.level
-    z_raw = (cfg.admm_step / rho) * run.u if rho > 0.0 else None
-    sol = _read_out(s, k, cfg, run, run.h, z_raw, rho, np.arange(p))
+    sol = _read_out(s, k, cfg, run, rho)
     if not run.converged:
         if run.stalled:
             msg = (f"progress stalled after {run.iters} iterations "

@@ -556,19 +556,26 @@ class TestScreenedSolve:
     @settings(max_examples=40, deadline=None)
     @given(spiked_sample(), st.sampled_from([0.0, 0.5]))
     def test_block_kkt_report_is_the_full_one(self, case, tau):
-        # a screened report reads the spectrum of the block-diagonal
-        # S - rho Z - tau H off its J0 x J0 block; the p x p route agrees
+        # a screened answer's report, objective and support are read on its
+        # J0 x J0 block (the spectrum of the block-diagonal S - rho Z - tau H
+        # merged with diag(S) off J0); the p x p route on the returned H and
+        # Z agrees
         s, cfg = case
         cfg = cfg.with_(tau_en=tau)
         sol = solve_or_partial(s, cfg)
-        full = fantope.solver._kkt_arrays(s.entries, sol.H.entries, sol.Z, cfg.rho, cfg.k,
-                                          cfg.support_tol, sol.primal_residual, tau,
-                                          np.arange(s.dim))
+        h = sol.H.entries
+        full = fantope.solver._kkt_arrays(s.entries, h, sol.Z, cfg.rho, cfg.k,
+                                          cfg.support_tol, sol.primal_residual, tau)
         tol = 1e-12 * (1.0 + abs(sol.objective))
         assert (sol.kkt.sign_mismatch, sol.kkt.dual_bound_violation) == (
             full.sign_mismatch, full.dual_bound_violation)
         assert abs(sol.kkt.fantope_optimality_gap - full.fantope_optimality_gap) <= tol
         assert abs(sol.kkt.eigengap - full.eigengap) <= tol
+        objective = (np.sum(s.entries * h) - cfg.rho * np.sum(np.abs(h))
+                     - 0.5 * tau * np.sum(h * h))
+        assert abs(sol.objective - objective) <= tol
+        assert sol.support == fantope.solver._extract_support(h, cfg.support_tol,
+                                                              sol.primal_residual)
 
     def test_slow_loop_sample(self):
         # p=200, n=2000, sample seed 505: the full loop takes 4603 iterations
