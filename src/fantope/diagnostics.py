@@ -18,8 +18,8 @@ from .base import (SupportSet, _finite_real, _integer, _support_of, as_support,
                    check_square, entry_max_norm, l11_norm, row_l2_max)
 from .errors import InvalidInput, SpsViolated
 from .solver import SolverConfig, _check_solution, _embed, solve_fps, solve_fps_constrained
-from .spectral import (FantopePoint, SymMat, _check_order, _pair, _top_k, as_sym, eig_sym,
-                       procrustes_align)
+from .spectral import (FantopePoint, SymMat, _check_order, _gap, _pair, _top_k, as_sym,
+                       eig_sym, procrustes_align)
 
 
 # ===== report types =====
@@ -76,20 +76,27 @@ class WitnessReport:
 # ===== population spectrum =====
 
 class _Population(NamedTuple):
-    """What the recovery theory reads off Sigma's one (retained) eigendecomposition."""
+    """What the recovery theory reads off Sigma's one (retained) eigendecomposition.
 
-    gap: float           # lambda_k - lambda_{k+1}; +inf when k = p
-    lam1: float          # lambda_1
-    pi: FantopePoint     # top-k projector
-    support: SupportSet  # indices where Pi_ii passes the support rule
+    The conditions and the witness read the top-k projector Pi only through
+    its diagonal, so that is all this carries; frobenius_bound_check, which
+    needs all of Pi, builds it with _top_k from the same spectrum.
+    """
+
+    gap: float             # lambda_k - lambda_{k+1}; +inf when k = p
+    lam1: float            # lambda_1
+    leverage: np.ndarray   # Pi_ii = sum_{j <= k} v_ij^2
+    support: SupportSet    # indices where Pi_ii passes the support rule
 
 
 def _population(sym, k):
     k = _check_order(k, sym.dim)
     spec = sym.spectrum
-    pi, gap = _top_k(spec, k)
-    return _Population(gap=gap, lam1=float(spec.eigenvalues[0]), pi=pi,
-                       support=_support_of(np.diag(pi.entries)))
+    vk = spec.eigenvectors[:, :k]  # vectors first: one eigh, no eigvalsh
+    w = spec.eigenvalues
+    leverage = np.einsum("ij,ij->i", vk, vk)
+    return _Population(gap=_gap(w, k), lam1=float(w[0]), leverage=leverage,
+                       support=_support_of(leverage))
 
 
 def _gapped(sym, k, why=""):
@@ -219,7 +226,7 @@ def _conditions(sym, k, j, rho, signed_floor):
         lcc_alpha=lcc_alpha,
         det_cond1_lhs=None,
         det_cond2_slack=float(pop.gap - 4.0 * rho * card * (1.0 + 8.0 * pop.lam1 / pop.gap)),
-        signal_min_leverage=float(np.sqrt(np.min(np.diag(pop.pi.entries)[jj]))),
+        signal_min_leverage=float(np.sqrt(np.min(pop.leverage[jj]))),
         signal_leverage_required=4.0 * rho * card / pop.gap,
         entrywise_min_ok=bool(floor > 2.0 * rho) and sign_rank_one(sym.entries, j),
         prob_sample_ok=None,
@@ -290,7 +297,8 @@ def frobenius_bound_check(sigma, s, k, j, rho, sol):
     rho = _finite_real("rho", rho, 0.0)
     _check_solution(sol, sym.dim, k)
     pop = _gapped(sym, k)
-    lhs = float(np.linalg.norm(sol.H.entries - pop.pi.entries))
+    pi, _ = _top_k(sym.spectrum, k)
+    lhs = float(np.linalg.norm(sol.H.entries - pi.entries))
     rhs = float(4.0 * rho * len(j) / pop.gap)
     return lhs, rhs, bool(lhs <= rhs + _FROBENIUS_TOL)
 
@@ -351,14 +359,21 @@ def build_witness(sigma, s, k, j, rho):
     q_dev = float(np.linalg.norm(q - np.eye(card)))
     q_bound = float(8.0 * rho * card / gap)
 
-    wmat = smat.entries - sym.entries
+    # only |W| = |S - Sigma| is read: its diagonal off J for the noise norm,
+    # and, in place with J's rows and columns and the diagonal zeroed, the
+    # complement block's largest off-diagonal entry (dividing by rho after
+    # the max leaves it bit for bit)
+    absw = smat.entries - sym.entries
+    np.abs(absw, out=absw)
+    diag_off = np.diag(absw)[jc]
     if jc.size:
         cross = (smat.entries[np.ix_(jj, jc)] - q @ sym.entries[np.ix_(jj, jc)]) / rho
-        comp = wmat[np.ix_(jc, jc)] / rho
-        np.fill_diagonal(comp, 0.0)
+        absw[jj, :] = 0.0
+        absw[:, jj] = 0.0
+        np.fill_diagonal(absw, 0.0)
         offsupport_max = max(
             float(np.max(np.abs(cross))),
-            float(np.max(np.abs(comp))) if jc.size > 1 else 0.0,
+            float(np.max(absw)) / rho if jc.size > 1 else 0.0,
         )
     else:
         offsupport_max = 0.0
@@ -368,7 +383,7 @@ def build_witness(sigma, s, k, j, rho):
     noise_block = sub_s - rho * z_sub - q @ sigma_jj @ q.T
     opn = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (noise_block + noise_block.T)))))
     if jc.size:
-        opn = max(opn, float(np.max(np.abs(np.diag(wmat)[jc]))))
+        opn = max(opn, float(np.max(diag_off)))
 
     valid = (
         q_dev <= q_bound + 1e-9

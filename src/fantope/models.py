@@ -70,7 +70,7 @@ class SampleBatch:
 def _finish_instance(sigma, k, expect_support, params):
     sig = as_sym(sigma)
     spec = sig.spectrum
-    pi, gap = _top_k(spec, k)
+    pi, gap = _top_k(spec, k)  # reads the vectors first: one eigh, no eigvalsh
     if gap <= 0.0:
         raise DegenerateModel(f"population eigengap is {gap:.3e}")
     got = _support_of(np.diag(pi.entries))

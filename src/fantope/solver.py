@@ -79,14 +79,16 @@ exactly, so H, its constraint residual and the KKT report certify the
 answer as an exact iteration would.  A cold start's first iterate,
 M0 = (S + step (k/p) I)/(tau + step), has S's
 eigenvectors, so its exact projection reads the SymMat's retained
-spectrum, shifted and scaled, instead of decomposing M0.  On the p=200
-spiked bench samples the full loop (the screen below kept off, as the
-tests' full_loop_only does) takes the same 40-43 iterations with 3 full
-eigh (two Weyl refreshes and the exact finish) once S's spectrum is known
-(the plug-in penalty reads it), instead of one per iteration, and about
-1.6 ms per iteration instead of 6.1 (numpy 2.4 with OpenBLAS at one
-thread on a 2-core x86_64 host); those samples now answer on the 5x5
-screened block.
+spectrum, shifted and scaled, instead of decomposing M0: that read is
+the one eigh of S, taken here unless an earlier caller read S's
+eigenvectors (a plug-in penalty reads only lambda_1, by eigvalsh, so a
+full loop after it takes its own eigh).  On the p=200 spiked bench
+samples the full loop (the screen below kept off, as the tests'
+full_loop_only does) takes the same 40-43 iterations with 3 full eigh
+beyond S's own (two Weyl refreshes and the exact finish), instead of one
+per iteration, and about 1.6 ms per iteration instead of 6.1 (numpy 2.4
+with OpenBLAS at one thread on a 2-core x86_64 host); those samples now
+answer on the 5x5 screened block.
 
 Every penalized solve (rho > 0), warm or cold, first screens, in the
 manner of the strong rules (Tibshirani et al., JRSS-B 2012) and of exact
@@ -227,7 +229,8 @@ def _check_solution(sol, p, k=None):
 
 def soft_threshold(a, level):
     """Entrywise shrinkage toward zero by `level` (diagonal included)."""
-    return a - np.clip(a, -level, level)
+    # np.clip(a, -level, level), at under half its per-call cost on small arrays
+    return a - np.minimum(np.maximum(a, -level), level)
 
 
 def _l1_level(a, radius):
@@ -622,7 +625,9 @@ def solve_fps_constrained(s, r_level, config):
         raise InfeasibleConstraint(
             f"R={r_level} < k={k}: every Fantope point has ||H||_1,1 >= k"
         )
-    scale = float(np.max(np.abs(sym.spectrum.eigenvalues), initial=0.0)) or 1.0
+    # read as the cold start reads it, vectors first: one eigh, no eigvalsh
+    gamma, _ = sym.spectrum.ascending()
+    scale = float(np.max(np.abs(gamma), initial=0.0)) or 1.0
     cfg = config.with_(rho=0.0, tau_en=0.0, admm_step=config.admm_step * scale)
     return _solve_raw(sym, cfg, budget=r_level)
 

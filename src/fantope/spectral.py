@@ -25,9 +25,9 @@ from .errors import InvalidInput, NumericalFailure
 class SymMat:
     """A dense symmetric matrix; construction symmetrizes and records the asymmetry.
 
-    spectrum is its one eigendecomposition, taken on first read and
-    retained while the SymMat lives; entries are read-only, so it cannot go
-    stale.  Pass the SymMat itself, not its entries, to share it.
+    spectrum is its one lazy Spectrum, retained while the SymMat lives;
+    entries are read-only, so it cannot go stale.  Pass the SymMat itself,
+    not its entries, to share it.
     """
 
     entries: np.ndarray
@@ -47,12 +47,8 @@ class SymMat:
 
     @cached_property
     def spectrum(self):
-        """The descending Spectrum of entries, from one eigh."""
-        try:
-            w, v = np.linalg.eigh(self.entries)
-        except np.linalg.LinAlgError as e:
-            raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
-        return _descending(w, v)
+        """The descending Spectrum of entries, decomposed on first read of its arrays."""
+        return Spectrum(self.entries)
 
 
 def as_sym(a):
@@ -67,16 +63,47 @@ def _pair(sigma, s):
     return sym, smat
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition, eigenvalues descending, eigenvectors in columns."""
+    """Eigendecomposition of a read-only symmetric array, eigenvalues descending,
+    eigenvectors in columns, each array taken on its first read.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    Eigenvalues read before any eigenvector come from one eigvalsh and are
+    kept; the eigenvectors come from one eigh on their first read, which
+    supplies the eigenvalues too when none were read yet.  Eigenvalues read
+    first are therefore paired with eigh's vectors, whose own eigenvalues
+    agree with them to rounding.  A caller that needs both arrays reads the
+    eigenvectors first, so a fresh matrix takes exactly one eigh.
+    """
+
+    def __init__(self, entries):
+        self._entries = entries
+        self._values = self._vectors = None
 
     @property
     def dim(self):
-        return self.eigenvalues.shape[0]
+        return self._entries.shape[0]
+
+    @property
+    def eigenvalues(self):
+        if self._values is None:
+            try:
+                w = np.linalg.eigvalsh(self._entries)
+            except np.linalg.LinAlgError as e:
+                raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+            self._values = _read_only(w[::-1])
+        return self._values
+
+    @property
+    def eigenvectors(self):
+        if self._vectors is None:
+            try:
+                w, v = np.linalg.eigh(self._entries)
+            except np.linalg.LinAlgError as e:
+                raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
+            self._vectors = _read_only(v[:, ::-1])
+            if self._values is None:
+                self._values = _read_only(w[::-1])
+        return self._vectors
 
     def reconstruct(self):
         v, w = self.eigenvectors, self.eigenvalues
@@ -84,7 +111,8 @@ class Spectrum:
 
     def ascending(self):
         """(eigenvalues, eigenvectors) in eigh's ascending order, as views."""
-        return self.eigenvalues[::-1], self.eigenvectors[:, ::-1]
+        v = self.eigenvectors
+        return self.eigenvalues[::-1], v[:, ::-1]
 
 
 # how far a validated Fantope point's eigenvalues may leave [0, 1], and its
@@ -155,20 +183,19 @@ def _check_order(k, p):
     return k
 
 
-def _descending(w, v):
-    """Read-only Spectrum from numpy's ascending eigh output."""
-    w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+def _read_only(a):
+    """a as a read-only contiguous array (a copy, for the reversed views passed here)."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def eig_sym(a):
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending.
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    A SymMat's is its retained spectrum: taken once, then shared by every
-    later call; a raw array is wrapped and decomposed afresh.
+    A SymMat's is its retained Spectrum, shared by every later call; a raw
+    array is wrapped afresh.  Either way each array is taken on first read:
+    eig_sym(a).eigenvalues alone costs one eigvalsh, not an eigh.
     """
     return as_sym(a).spectrum
 
@@ -220,13 +247,14 @@ def _water_fill(gamma, k):
         raise NumericalFailure("water-level scan found no feasible segment")
     # phi ~= k at the kink, else phi is linear with slope -(na - ns) above it
     t = c if phi <= k else min(max((ns + act - k) / (na - ns), c), upper)
-    g = np.clip(shifted - t, 0.0, 1.0)
+    # np.minimum(np.maximum(.)) is np.clip at under half its per-call cost on small arrays
+    g = np.minimum(np.maximum(shifted - t, 0.0), 1.0)
     # one Newton correction on the active linear segment mops up roundoff
     resid = float(g.sum()) - k
     active = int(np.count_nonzero((g > 0.0) & (g < 1.0)))
     if resid != 0.0 and active:
         t += resid / active
-        g = np.clip(shifted - t, 0.0, 1.0)
+        g = np.minimum(np.maximum(shifted - t, 0.0), 1.0)
         resid = float(g.sum()) - k
     if not abs(resid) <= _FANTOPE_TRACE_TOL * k:
         raise NumericalFailure(f"water-level weights sum to {k + resid!r}, not k={k}")
@@ -234,10 +262,14 @@ def _water_fill(gamma, k):
 
 
 def _rebuild(v, g):
-    """sum_j g_j v_j v_j^T from the columns that carry weight only (solutions are low-rank)."""
-    keep = g > 0.0
-    vk = v[:, keep]
-    h = (vk * g[keep]) @ vk.T
+    """sum_j g_j v_j v_j^T from the columns that carry weight only (solutions are low-rank).
+
+    g is non-decreasing, as water-filled weights along an ascending spectrum
+    are (both callers pass those), so the weighted columns are the trailing ones.
+    """
+    first = g.shape[0] - int(np.count_nonzero(g > 0.0))
+    vk = v[:, first:]
+    h = (vk * g[first:]) @ vk.T
     return 0.5 * (h + h.T)
 
 
@@ -344,15 +376,20 @@ def top_k_projector(a, k):
     return _top_k(s.spectrum, _check_order(k, s.dim))
 
 
+def _gap(w, k):
+    """gamma_k - gamma_{k+1} of a descending spectrum w; +inf when k is its size."""
+    return float("inf") if k == w.shape[0] else float(w[k - 1] - w[k])
+
+
 def _top_k(spec, k):
     """top_k_projector's (point, gap), read off an existing descending Spectrum."""
-    w, v = spec.eigenvalues, spec.eigenvectors
+    v, w = spec.eigenvectors, spec.eigenvalues
     p = spec.dim
     vk = v[:, :k]
     ent = vk @ vk.T
     ent = 0.5 * (ent + ent.T)
     ent.flags.writeable = False
-    gap = float("inf") if k == p else float(w[k - 1] - w[k])
+    gap = _gap(w, k)
     point = FantopePoint(
         dim=p, k=int(k), entries=ent,
         constraint_residual=abs(float(np.trace(ent)) - k),

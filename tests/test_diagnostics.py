@@ -50,6 +50,17 @@ class TestCheckSps:
         _, support = check_sps(m.Sigma, 2)
         assert support.indices == m.J.indices
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_leverages_are_the_projector_diagonal(self, k):
+        # the checks read Pi only through its diagonal, sum_{j <= k} v_ij^2
+        m = gen_spiked(40, k, (3, 7, 11, 19), (2.0, 1.5, 1.2)[:k], 1.0, seed=5)
+        diag = np.diag(top_k_projector(m.Sigma, k)[0].entries)
+        rep = check_recovery_conditions(m.Sigma, m.Sigma, k, m.J, 0.01)
+        want = np.sqrt(np.min(diag[m.J.as_array()]))
+        assert rep.signal_min_leverage == pytest.approx(want, rel=1e-14, abs=0)
+        _, support = check_sps(m.Sigma, k)
+        assert support.indices == tuple(np.flatnonzero(diag > 1e-10)) == m.J.indices
+
 
 class TestCheckLcc:
     def test_block_diagonal_budget_is_free(self):

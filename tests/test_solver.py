@@ -438,7 +438,7 @@ class TestColdStartFromSpectrum:
         cfg = cfg.with_(tau_en=tau)
         full_loop_only(monkeypatch)
         sym = as_sym(s)
-        sym.spectrum
+        sym.spectrum.eigenvectors
         calls = count_linalg(monkeypatch, "eigh")
         raw = solve_fps(s.copy(), cfg)
         n_raw = calls.count(s.shape)
@@ -708,7 +708,7 @@ class TestAcceleration:
         s = gen_planted_clique(p, 40, seed)[1]
         cfg = SolverConfig(k=1, rho=CLIQUE_RHO_MULT * math.sqrt(math.log(p) / (p - 1)),
                            support_tol=1e-3)
-        s.spectrum
+        s.spectrum.eigenvectors
         calls = count_linalg(monkeypatch, "eigh")
         sol = solve_fps(s, cfg)
         assert (sol.working_set, sol.iters, calls.count((p, p))) == (p, iters, full_eigh)

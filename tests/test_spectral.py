@@ -4,9 +4,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fantope.spectral
-from fantope.diagnostics import check_sps
+from fantope.diagnostics import check_recovery_conditions, check_sps
 from fantope.errors import InvalidInput, NumericalFailure
-from fantope.solver import _GAP_TIE_TOL
+from fantope.models import gen_spiked
+from fantope.solver import _GAP_TIE_TOL, SolverConfig, solve_fps, solve_fps_constrained
 from fantope.spectral import (
     FantopePoint,
     SymMat,
@@ -52,6 +53,7 @@ class TestSymMat:
         m = SymMat.from_array(a)
         calls = count_linalg(monkeypatch, "eigh")
         assert eig_sym(m) is eig_sym(m) is m.spectrum
+        m.spectrum.eigenvectors
         assert calls == [(8, 8)]
         # the projections read the retained spectrum, and agree with a raw array's
         res, (pi, _) = fantope_project(m, 3), top_k_projector(m, 3)
@@ -61,6 +63,78 @@ class TestSymMat:
                             rtol=0, atol=1e-12)
         npt.assert_allclose(pi.entries, top_k_projector(a, 3)[0].entries, rtol=0, atol=1e-12)
         assert calls == [(8, 8)] * 3  # a raw array is decomposed afresh
+
+
+def spectral_calls(monkeypatch):
+    """Wrap np.linalg.eigh and eigvalsh; returns the list of (name, input) they see."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def of_order(calls, p):
+    return sorted(name for name, a in calls if np.shape(a) == (p, p))
+
+
+def on(calls, a):
+    return sorted(name for name, x in calls if x is a)
+
+
+class TestSpectralCallBudget:
+    """Each spectrum is taken as the caller reads it: lambda_1 alone by eigvalsh,
+    anything needing eigenvectors by one eigh, never both for a fresh matrix."""
+
+    P = 40
+
+    @classmethod
+    def fresh(cls):
+        return SymMat.from_array(rand_sym(np.random.default_rng(9), cls.P))
+
+    def test_eigenvalues_alone_take_one_eigvalsh(self, monkeypatch):
+        m = self.fresh()
+        calls = spectral_calls(monkeypatch)
+        w = eig_sym(m).eigenvalues
+        assert on(calls, m.entries) == of_order(calls, self.P) == ["eigvalsh"]
+        # vectors read later take their eigh, and the eigenvalues read first are kept
+        v = m.spectrum.eigenvectors
+        assert m.spectrum.eigenvalues is w
+        assert of_order(calls, self.P) == ["eigh", "eigvalsh"]
+        npt.assert_allclose((v * w) @ v.T, m.entries, rtol=0, atol=1e-12)
+
+    def test_generator_takes_one_eigh(self, monkeypatch):
+        calls = spectral_calls(monkeypatch)
+        model = gen_spiked(self.P, 2, range(5), (3.0, 2.0), 1.0, 12)
+        assert on(calls, model.Sigma.entries) == of_order(calls, self.P) == ["eigh"]
+
+    @pytest.mark.parametrize("read", [
+        lambda m: eig_sym(m).ascending(),
+        lambda m: eig_sym(m).reconstruct(),
+        lambda m: fantope_project(m, 2),
+        lambda m: top_k_projector(m, 2),
+        lambda m: check_recovery_conditions(m, m, 2, range(5), 0.1),
+    ], ids=["ascending", "reconstruct", "fantope_project", "top_k_projector",
+            "recovery_conditions"])
+    def test_both_arrays_take_one_eigh(self, monkeypatch, read):
+        m = SymMat.from_array(gen_spiked(self.P, 2, range(5), (3.0, 2.0), 1.0, 12).Sigma.entries)
+        calls = spectral_calls(monkeypatch)
+        read(m)
+        assert on(calls, m.entries) == of_order(calls, self.P) == ["eigh"]
+
+    @pytest.mark.parametrize("solve", [
+        lambda m: solve_fps(m, SolverConfig(k=2, rho=0.0)),
+        lambda m: solve_fps_constrained(m, 3.0, SolverConfig(k=2)),
+    ], ids=["full_loop", "constrained"])
+    def test_a_cold_solve_takes_one_eigh_of_s(self, monkeypatch, solve):
+        # the loop decomposes its own iterates too; S itself is decomposed once
+        m = self.fresh()
+        calls = spectral_calls(monkeypatch)
+        solve(m)
+        assert on(calls, m.entries) == ["eigh"]
 
 
 class TestEigSym:
