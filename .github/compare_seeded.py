@@ -3,8 +3,9 @@
     python .github/compare_seeded.py A B
 
 Every output must be present in both, and agree:
-  - {phase,rho,persist,clique}_results.csv, non-empty, in every cell but
-    wall_ms;
+  - {phase,rho,persist,clique,stall}_results.csv, non-empty, in every cell
+    but wall_ms; stall_results.csv must also record an error in some trial,
+    since it is there to compare a sweep's NotConverged path;
   - their .summary.json byte for byte (they hold no timing);
   - solve.out, h.csv and certify.out, non-empty, byte for byte.
 Each differing cell (or line) is printed with its absolute difference when
@@ -15,7 +16,7 @@ import csv
 import sys
 from pathlib import Path
 
-SWEEPS = ("phase", "rho", "persist", "clique")
+SWEEPS = ("phase", "rho", "persist", "clique", "stall")
 OUTPUTS = ("solve.out", "h.csv", "certify.out")
 
 
@@ -50,6 +51,9 @@ def _sweep(a_dir, b_dir, name):
                          for row in csv.DictReader(f)])
     if not rows[0]:
         print(f"{path}: no rows")
+        return True
+    if name == "stall" and not any(row["error"] for row in rows[0]):
+        print(f"{path}: no trial recorded an error")
         return True
     return _cells(path, *rows)
 

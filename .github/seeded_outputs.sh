@@ -12,6 +12,9 @@
 #     condition cells empty), a persist sweep (the budget form; one of its
 #     trials runs 719 iterations) and a planted clique (the full loop with
 #     Ritz steps);
+#   - stall_results.csv and .summary.json: a phase sweep at a small penalty
+#     with max_iters = 40: every trial runs out of iterations and records a
+#     NotConverged in its error cell, so a sweep's failure path is compared;
 #   - solve.out and h.csv: `fps solve` on s.csv (the accelerated 5x5 block);
 #   - certify.out: `fps certify` (the witness's restricted solve), which
 #     exits 3 there: the paper's deterministic conditions fail at p = 60,
@@ -37,9 +40,13 @@ printf '%s\n' 'model = spiked' 'p = 60' 'k = 2' 's = 5' 'spike_values = 3.0, 2.0
   'output_path = rho_results.csv' > rho.cfg
 printf '%s\n' 'model = spiked' 'p = 30' 'k = 1' 's = 5' 'spike_values = 2.0' \
   'noise = 1.0' 'grid_n = 0, 500' 'grid_r = 2, 3' 'trials = 2' 'seed = 3' > persist.cfg
+printf '%s\n' 'model = spiked' 'p = 30' 'k = 1' 's = 4' 'spike_values = 2.0' \
+  'grid_n = 300' 'grid_rho = 0.05' 'trials = 2' 'seed = 1' 'max_iters = 40' \
+  'output_path = stall_results.csv' > stall.cfg
 
 for args in "phase --config sweep.cfg" "phase --config rho.cfg" \
-    "persist --config persist.cfg" "clique --p 60 --s 12 --trials 3 --seed 2"; do
+    "persist --config persist.cfg" "clique --p 60 --s 12 --trials 3 --seed 2" \
+    "phase --config stall.cfg"; do
   # word splitting of $args is intended
   python -m fantope.cli $args > /dev/null
 done

@@ -69,7 +69,8 @@ CLIQUE_RHO_MULT = 0.85
 # ===== experiment configuration =====
 
 _MODEL_KEYS = ("model", "p", "k", "s", "t", "spike_values", "noise")
-_TOL_KEYS = ("support_tol", "eps", "max_iters", "admm_step", "sandwich_tol")
+_SOLVER_KEYS = ("support_tol", "eps", "max_iters", "admm_step")
+_TOL_KEYS = _SOLVER_KEYS + ("sandwich_tol",)
 _SCALAR_KEYS = _MODEL_KEYS + _TOL_KEYS + (
     "trials", "seed", "sigma_mult", "alpha", "output_path")
 _GRID_KEYS = ("grid_n", "grid_p", "grid_s", "grid_rho", "grid_r")
@@ -114,6 +115,9 @@ class ExperimentConfig:
         tols = dict(self.tolerances)
         if "sandwich_tol" in tols:
             tols["sandwich_tol"] = _finite_real("sandwich_tol", tols["sandwich_tol"], 0.0)
+        # the solver's own, by SolverConfig's rules
+        solver = _solver_config(1, 0.0, tols)
+        tols.update({key: getattr(solver, key) for key in _SOLVER_KEYS if key in tols})
         if self.alpha is not None and _finite_real("alpha", self.alpha, 0.0, strict=True) > 1:
             raise InvalidInput(f"alpha={self.alpha!r} must be in (0, 1]")
         if self.output_path is not None and not isinstance(self.output_path, str):
@@ -191,8 +195,7 @@ def _trial_seed(seed, cell, trial):
 
 
 def _solver_config(k, rho, tolerances):
-    kw = {key: tolerances[key] for key in ("support_tol", "eps", "max_iters", "admm_step")
-          if key in tolerances}
+    kw = {key: tolerances[key] for key in _SOLVER_KEYS if key in tolerances}
     return SolverConfig(k=k, rho=rho, **kw)
 
 
@@ -366,7 +369,6 @@ def cmd_phase(config):
         raise InvalidInput("phase needs a grid_n axis")
     cells = list(itertools.product(*(config.grid[a] for a in axes)))
     out_csv = config.output_path or "phase_results.csv"
-    # built before any trial so a bad tolerance is an input error, not a row;
     # k and rho are set per cell and trial
     solver = _solver_config(1, 0.0, config.tolerances)
 

@@ -11,13 +11,15 @@ class NumericalFailure(RuntimeError):
 
 
 class NotConverged(RuntimeError):
-    """Iterative solver hit max_iters before meeting its residual tolerances.
+    """The splitting loop stopped before meeting its residual tolerance.
 
-    Carries the partial solution so callers can inspect it, or resume with
-    solve_fps(s, config, warm=exc.solution).
+    It stops short when progress stalls (the sublinear-progress bail-out) or
+    when it hits max_iters; the message names which, with the iteration count,
+    both residuals and the tolerance.  Carries the partial solution so callers
+    can inspect it, or resume with solve_fps(s, config, warm=exc.solution).
     """
 
-    def __init__(self, message, solution=None):
+    def __init__(self, message, solution):
         super().__init__(message)
         self.solution = solution
 

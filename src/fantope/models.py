@@ -183,12 +183,6 @@ def gen_planted_clique(p, s, seed):
 
 # ===== sampling =====
 
-def _moments(x):
-    """(count, centred scatter) of the rows of x, in two passes."""
-    xc = x - x.mean(axis=0, keepdims=True)
-    return x.shape[0], xc.T @ xc
-
-
 def sample_gaussian(model, n, seed):
     """n i.i.d. draws from N(0, Sigma), reproducible for a given seed.
 
@@ -211,16 +205,12 @@ def sample_gaussian(model, n, seed):
 
 
 def sample_covariance(batch):
-    """Centered sample covariance with 1/n normalization.
+    """Centered sample covariance with 1/n normalization of a SampleBatch.
 
-    A SampleBatch is coloured once, S = root (W / n) root, from its white
-    scatter W; any other object with rows .X gives the plain two-pass
-    covariance of those rows.
+    The batch is coloured once, S = root (W / n) root, from its white
+    scatter W.
     """
-    if isinstance(batch, SampleBatch):
-        return SymMat.from_array(batch.root @ (batch.scatter / batch.n) @ batch.root)
-    n, scatter = _moments(np.asarray(batch.X, dtype=float))
-    return SymMat.from_array(scatter / n)
+    return SymMat.from_array(batch.root @ (batch.scatter / batch.n) @ batch.root)
 
 
 def entrywise_error(s, sigma):

@@ -72,9 +72,9 @@ is accepted only if
     the projection errors are summable and the splitting step stays
     convergent (Eckstein & Bertsekas 1992).
 A refused step falls back to the full eigh, whose input becomes the new
-M_ref; with 4r > p the loop always takes the full eigh.  Every exit
-(converged, stalled or out of iterations) leaves from an exact
-projection: an iteration whose Ritz step meets a stopping rule is redone
+M_ref; with 4r > p the loop always takes the full eigh.  Every exit,
+whatever its stop ("converged", "stalled" or "max_iters"), leaves from an
+exact projection: an iteration whose Ritz step meets a stopping rule is redone
 exactly, so H, its constraint residual and the KKT report certify the
 answer as an exact iteration would.  A cold start's first iterate,
 M0 = (S + step (k/p) I)/(tau + step), has S's
@@ -338,8 +338,7 @@ class _Run(NamedTuple):
     iters: int
     r_p: float
     r_d: float
-    converged: bool
-    stalled: bool
+    stop: str           # "converged", "stalled" or "max_iters"
 
 
 class _Anderson:
@@ -411,6 +410,12 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
     budget R the level that projects v onto the l1 ball of radius R.  A
     budget loop, and a penalized loop whose every projection is exact
     (4 (k + _RITZ_MARGIN) > p), extrapolates v by _Anderson.
+
+    The run's stop says how the loop ended, decided once per iteration:
+    "converged" once both residuals are at most eps sqrt(p); else "stalled"
+    when, at a multiple of 1000 iterations past the 2000th, the best
+    max(r_p, r_d) of the window's last 500 iterations is above 0.995 times
+    that of its first 500; else "max_iters" at the last iteration.
     """
     p = s.shape[0]
     rho, tau, sigma = cfg.rho, cfg.tau_en, cfg.admm_step
@@ -430,7 +435,7 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
     accel = _Anderson(p * p) if budget is not None or 4 * (k + _RITZ_MARGIN) > p else None
 
     tol = cfg.eps * np.sqrt(p)
-    window = 1000
+    window, half = 1000, 500
     hist = np.empty(window)  # max(r_p, r_d) of the last window iterations, cyclic
     ref = None  # (M_ref, lambda_{r+1}(M_ref), tracked top-r block) for the Ritz step
     for it in range(1, cfg.max_iters + 1):
@@ -461,27 +466,26 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
             r_p = float(np.linalg.norm(h - y_new))
             r_d = float(sigma * np.linalg.norm(y_new - y))
             hist[(it - 1) % window] = max(r_p, r_d)
-            converged = r_p <= tol and r_d <= tol
-            # sublinear-progress bail-out: a degenerate penalty (tied optima)
-            # makes the iterates drift along the solution face at O(1/t); a
-            # linear-rate solve shrinks far more than 0.5% per thousand steps
-            stalled = False
-            if not converged and it >= 2 * window and it % window == 0:
-                ratios = hist / tol  # in order: it % window == 0
-                half = window // 2
-                stalled = bool(ratios[half:].min() > 0.995 * ratios[:half].min())
-            done = converged or stalled or it == cfg.max_iters
+            # converged, else the sublinear-progress bail-out (a linear-rate solve
+            # shrinks far more than 0.5% per thousand steps; hist is in order here)
+            if r_p <= tol and r_d <= tol:
+                stop = "converged"
+            elif (it >= 2 * window and it % window == 0
+                  and (hist[half:] / tol).min() > 0.995 * (hist[:half] / tol).min()):
+                stop = "stalled"
+            else:
+                stop = "max_iters" if it == cfg.max_iters else None
             # every exit leaves from an exact projection: redo a Ritz step that would stop
-            if exact or not done:
+            if exact or stop is None:
                 break
         # a cold start's Y = (k/p) I is not soft(v), so its step is no sample of T
-        if accel is None or done or (it == 1 and start is None):
+        if accel is None or stop is not None or (it == 1 and start is None):
             v, y = v_new, y_new
         else:
             v, y = accel.next(v, v_new, y_new, level_of)
-        if done:
+        if stop is not None:
             break
-    return _Run(s, h, g, v - y, level, it, r_p, r_d, converged, stalled)
+    return _Run(s, h, g, v - y, level, it, r_p, r_d, stop)
 
 
 def _read_out(s, k, cfg, run, rho, rows=None):
@@ -548,8 +552,9 @@ def _solve_raw(sym, cfg, start=None, budget=None):
 
     With a budget R, rho* = step * (the last level) stands in for cfg.rho in
     Z, the objective and the KKT report.  Returns (solution, the penalty it
-    was read at); a full run that stalls or runs out of iterations raises
-    NotConverged with its solution.
+    was read at).  A full run that stops short ("stalled" or "max_iters")
+    raises NotConverged with its solution; the message gives that stop, the
+    iteration count, both residuals and the tolerance eps sqrt(p).
     """
     s = sym.entries
     p = s.shape[0]
@@ -559,7 +564,7 @@ def _solve_raw(sym, cfg, start=None, budget=None):
         if 4 * rows.size <= p:
             block = None if start is None else start[np.ix_(rows, rows)]
             run = _loop(s[np.ix_(rows, rows)], k, cfg, block)
-            if run.converged:
+            if run.stop == "converged":
                 sol = _read_out(s, k, cfg, run, cfg.rho, rows)
                 tol = cfg.eps * np.sqrt(p) * (1.0 + abs(sol.objective))
                 if sol.kkt.fantope_optimality_gap <= tol:
@@ -568,15 +573,11 @@ def _solve_raw(sym, cfg, start=None, budget=None):
     run = _loop(s, k, cfg, start, eig, budget)
     rho = cfg.rho if budget is None else cfg.admm_step * run.level
     sol = _read_out(s, k, cfg, run, rho)
-    if not run.converged:
-        if run.stalled:
-            msg = (f"progress stalled after {run.iters} iterations "
-                   f"(primal {run.r_p:.3e}, dual {run.r_d:.3e}); the problem is "
-                   "likely degenerate at this penalty")
-        else:
-            msg = (f"splitting solver hit max_iters={cfg.max_iters} "
-                   f"(primal {run.r_p:.3e}, dual {run.r_d:.3e})")
-        raise NotConverged(msg, solution=sol)
+    if run.stop != "converged":
+        raise NotConverged(
+            f"splitting loop stopped ({run.stop}) after {run.iters} iterations: primal "
+            f"residual {run.r_p:.3e}, dual {run.r_d:.3e}, tolerance eps sqrt(p) "
+            f"{cfg.eps * np.sqrt(p):.3e}", sol)
     return sol, rho
 
 

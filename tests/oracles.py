@@ -174,13 +174,6 @@ def gaussian_rows(sigma, n, seed):
     return np.random.default_rng(seed).normal(size=(n, sigma.shape[0])) @ root
 
 
-class Rows:
-    """A sample held as its rows X: the input of sample_covariance's rows path."""
-
-    def __init__(self, x):
-        self.X = np.asarray(x, dtype=float)
-
-
 def two_pass_covariance(x):
     """Centred 1/n covariance of the rows of x: subtract the mean, then one product."""
     x = np.asarray(x, dtype=float)

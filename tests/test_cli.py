@@ -92,6 +92,17 @@ class TestConfigParsing:
         assert (cfg.trials, cfg.sigma_mult, cfg.model, cfg.output_path) == (2, 2.5, True, "plain")
         assert type(cfg.trials) is int and type(cfg.sigma_mult) is float
 
+    def test_solver_tolerances_are_typed(self, tmp_path):
+        # stored as the solver runs with them: max_iters an int, the rest floats
+        path = tmp_path / "cfg.txt"
+        path.write_text("max_iters = 3000.0\neps = 1\nsupport_tol = 1\nadmm_step = 2\n"
+                        "sandwich_tol = 0\n")
+        tols = parse_config(str(path)).tolerances
+        assert tols == {"max_iters": 3000, "eps": 1.0, "support_tol": 1.0, "admm_step": 2.0,
+                        "sandwich_tol": 0.0}
+        assert type(tols["max_iters"]) is int
+        assert all(type(tols[key]) is float for key in tols if key != "max_iters")
+
     @pytest.mark.parametrize("body", [
         "mystery_key = 3",
         "p 20",

@@ -17,7 +17,7 @@ from fantope.models import (
     sample_gaussian,
     save_matrix_csv,
 )
-from oracles import Rows, gaussian_rows, two_pass_covariance
+from oracles import gaussian_rows, two_pass_covariance
 from test_solver import count_linalg
 
 PAIR_PROJECTOR = np.array([
@@ -169,7 +169,10 @@ class TestSampling:
         npt.assert_allclose(sample_covariance(batch).entries, np.outer(y, y), atol=1e-12)
 
     def test_hand_computed_small_case(self):
-        s = sample_covariance(Rows(np.array([[1.0, 0.0], [0.0, 0.0]])))
+        # the rows (1, 0) and (0, 0), as their centred scatter under an identity root
+        xc = np.array([[0.5, 0.0], [-0.5, 0.0]])
+        batch = SampleBatch(n=2, p=2, seed=0, root=np.eye(2), scatter=xc.T @ xc)
+        s = sample_covariance(batch)
         npt.assert_allclose(s.entries, [[0.25, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_covariance_consistency(self):
@@ -194,7 +197,7 @@ def bench_model():
 # two rows and the benchmark's n
 @pytest.mark.parametrize("n", [2, 8000])
 class TestRowsPathAndColouring:
-    """The rows path, and the colouring of a white scatter into a sample covariance."""
+    """The oracle's rows, and the colouring of a white scatter into a sample covariance."""
 
     def test_rows_are_the_one_shot_draw(self, bench_model, n):
         # the oracle's rows, the fixed inputs of seed-specific tests, are the
@@ -211,10 +214,6 @@ class TestRowsPathAndColouring:
         ref = two_pass_covariance(white @ bench_model.root)
         s = sample_covariance(batch).entries
         assert np.max(np.abs(s - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_row_batch_is_the_two_pass_result(self, bench_model, n):
-        x = gaussian_rows(bench_model.Sigma.entries, n, 10000)
-        npt.assert_array_equal(sample_covariance(Rows(x)).entries, two_pass_covariance(x))
 
 
 def wishart_draws(p, n, draws):

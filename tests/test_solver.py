@@ -34,9 +34,9 @@ from fantope.solver import (
     solve_fps_constrained,
     uniqueness_probe,
 )
-from fantope.spectral import FantopePoint, as_sym, eig_sym, top_k_projector
-from oracles import (BUDGET_HARD, Rows, gaussian_rows, grid_solve_2x2, l1_level_bisect,
-                     penalized_objective, random_feasible_point)
+from fantope.spectral import FantopePoint, SymMat, as_sym, eig_sym, top_k_projector
+from oracles import (BUDGET_HARD, gaussian_rows, grid_solve_2x2, l1_level_bisect,
+                     penalized_objective, random_feasible_point, two_pass_covariance)
 
 TOY = gen_toy(0.0).Sigma.entries
 
@@ -46,12 +46,12 @@ def toy_case():
 
 
 def row_sample(model, n, seed):
-    """S of the one-shot rows oracles.gaussian_rows(Sigma, n, seed), through the rows path.
+    """S, the two-pass covariance of the one-shot rows oracles.gaussian_rows(Sigma, n, seed).
 
     A fixed input for tests that quote a behaviour of one particular sample:
     it does not follow sample_gaussian's draw.
     """
-    return sample_covariance(Rows(gaussian_rows(model.Sigma.entries, n, seed)))
+    return SymMat.from_array(two_pass_covariance(gaussian_rows(model.Sigma.entries, n, seed)))
 
 
 def budget_input(case):
@@ -282,7 +282,7 @@ class TestPenalizedSolve:
             assert abs(sol.objective - obj_ref) <= 2e-3
 
     def test_not_converged_carries_partial(self):
-        with pytest.raises(NotConverged) as exc:
+        with pytest.raises(NotConverged, match=r"\(max_iters\) after 3 iterations") as exc:
             solve_fps(TOY, SolverConfig(k=1, rho=0.2, max_iters=3))
         partial = exc.value.solution
         assert partial is not None
@@ -291,17 +291,29 @@ class TestPenalizedSolve:
 
     def test_stall_exit_carries_partial(self):
         # gate 7's s = 5 trial 7: the clique sits below the detection
-        # threshold, tied optima make the iterates drift at O(1/t), and the
-        # solve stops at the first stall test it fails, not at max_iters
-        s = gen_planted_clique(200, 5, 1_000_010)[1]
-        cfg = SolverConfig(k=1, rho=CLIQUE_RHO_MULT * math.sqrt(math.log(200.0) / 199.0),
-                           support_tol=1e-3)
-        with pytest.raises(NotConverged, match="stalled") as exc:
-            solve_fps(s, cfg)
-        assert type(exc.value) is NotConverged
-        partial = exc.value.solution
-        assert partial.iters == 2000
-        assert partial.H.constraint_residual <= 1e-8
+        # threshold and the solve stops at the first stall test it fails (2000
+        # iterations), not at max_iters.  The elastic net at tau = 0.3 on a
+        # small spiked sample stalls too (4000), though its maximizer is
+        # unique, so the message names the stop and claims no degeneracy
+        rho = CLIQUE_RHO_MULT * math.sqrt(math.log(200.0) / 199.0)
+        spiked = gen_spiked(30, 1, range(4), (2.0,), 1.0, 1)
+        cases = [
+            (gen_planted_clique(200, 5, 1_000_010)[1],
+             SolverConfig(k=1, rho=rho, support_tol=1e-3), 2000),
+            (sample_covariance(sample_gaussian(spiked, 300, 1001)),
+             SolverConfig(k=1, rho=0.05, tau_en=0.3), 4000),
+        ]
+        for s, cfg, iters in cases:
+            with pytest.raises(NotConverged, match="stalled") as exc:
+                solve_fps(s, cfg)
+            assert type(exc.value) is NotConverged
+            message = str(exc.value)
+            assert f"after {iters} iterations" in message
+            assert f"{cfg.eps * math.sqrt(s.dim):.3e}" in message
+            assert "degenerate" not in message
+            partial = exc.value.solution
+            assert partial.iters == iters
+            assert partial.H.constraint_residual <= 1e-8
 
     def test_relaxed_step_iterations_on_bench_sample(self):
         # the bench sample answers on its 5x5 block: the plain step takes 71
