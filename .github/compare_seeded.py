@@ -7,7 +7,7 @@ Every output must be present in both, and agree:
     but wall_ms; stall_results.csv must also record an error in some trial,
     since it is there to compare a sweep's NotConverged path;
   - their .summary.json byte for byte (they hold no timing);
-  - solve.out, h.csv and certify.out, non-empty, byte for byte.
+  - solve.out, h.csv, certify.out and pipeline.out, non-empty, byte for byte.
 Each differing cell (or line) is printed with its absolute difference when
 both sides are numbers.  Exits 1 on any difference, 0 otherwise.
 """
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 SWEEPS = ("phase", "rho", "persist", "clique", "stall")
-OUTPUTS = ("solve.out", "h.csv", "certify.out")
+OUTPUTS = ("solve.out", "h.csv", "certify.out", "pipeline.out")
 
 
 def _delta(a, b):

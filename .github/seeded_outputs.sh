@@ -18,7 +18,12 @@
 #   - solve.out and h.csv: `fps solve` on s.csv (the accelerated 5x5 block);
 #   - certify.out: `fps certify` (the witness's restricted solve), which
 #     exits 3 there: the paper's deterministic conditions fail at p = 60,
-#     while the witness is built and valid.
+#     while the witness is built and valid;
+#   - pipeline.out: the in-process pipeline no `fps` command runs, on s.csv
+#     and sigma.csv at rho = 0.3 in one process: solve_fps, a cold
+#     uniqueness_probe and build_witness on the one SymMat of S, so the probe
+#     and the witness re-read the solve's kept run; it prints the solve, the
+#     probe's verdict, the witness fields and whether Htilde equals H.
 set -euo pipefail
 src="$(cd "$1" && pwd)"
 mkdir -p "$2"
@@ -53,3 +58,22 @@ done
 python -m fantope.cli solve s.csv --k 2 --rho 0.3 --out-h h.csv > solve.out
 python -m fantope.cli certify sigma.csv s.csv --k 2 --j 0,1,2,3,4 --rho 0.3 \
   > certify.out || test $? -eq 3
+python - > pipeline.out <<'EOF'
+import json
+import numpy as np
+from fantope import SolverConfig, as_sym, build_witness, solve_fps, uniqueness_probe
+from fantope.models import load_matrix_csv
+sigma, smat = as_sym(load_matrix_csv("sigma.csv")), as_sym(load_matrix_csv("s.csv"))
+cfg = SolverConfig(k=2, rho=0.3)
+sol = solve_fps(smat, cfg)
+probe, _ = uniqueness_probe(smat, cfg)
+wit = build_witness(sigma, smat, 2, range(5), 0.3)
+print(json.dumps({
+    "solve": {"support": list(sol.support.indices), "iters": sol.iters,
+              "working_set": sol.working_set, "objective": sol.objective},
+    "probe": {"unique": probe.unique, "discrepancy": probe.discrepancy,
+              "tau": probe.tau, "gap": probe.gap},
+    "witness": wit.to_flat_dict(),
+    "htilde_equals_h": bool(np.array_equal(wit.Htilde.entries, sol.H.entries)),
+}, indent=2))
+EOF

@@ -314,8 +314,12 @@ def _aligned_eigvecs(mat, k):
 def build_witness(sigma, s, k, j, rho):
     """Construct the explicit primal-dual certificate for support recovery.
 
-    Solves the support-restricted problem on S[J, J], recovers that
-    subproblem's dual, aligns the empirical and population eigenbases on
+    Solves the support-restricted problem through solve_fps, on the
+    SymMat of S[J, J] that S keeps as its last restriction.  After a cold
+    solve of the same SymMat S at penalty rho and default settings whose
+    screened block was J, that is the block the solve ran on, and its kept
+    run is read again: H on J is the solve's, bit for bit.  It recovers
+    that subproblem's dual, aligns the empirical and population eigenbases on
     the support (leading and trailing blocks separately) to form the
     rotation Q, and computes the off-support dual blocks in closed form:
     cross block (S_ij - <Q_i, Sigma_J j>) / rho, complement block
@@ -338,8 +342,9 @@ def build_witness(sigma, s, k, j, rho):
 
     gap = _gapped(sym, k).gap
 
-    sub_s = smat.entries[np.ix_(jj, jj)]
-    sub_sol = solve_fps(sub_s, SolverConfig(k=k, rho=rho))
+    sub = smat._restrict(jj)
+    sub_s = sub.entries
+    sub_sol = solve_fps(sub, SolverConfig(k=k, rho=rho))
     z_sub = sub_sol.Z
 
     # block-diag(B, 0) has B's spectrum plus zeros: B's residual carries over

@@ -76,19 +76,26 @@ M_ref; with 4r > p the loop always takes the full eigh.  Every exit,
 whatever its stop ("converged", "stalled" or "max_iters"), leaves from an
 exact projection: an iteration whose Ritz step meets a stopping rule is redone
 exactly, so H, its constraint residual and the KKT report certify the
-answer as an exact iteration would.  A cold start's first iterate,
-M0 = (S + step (k/p) I)/(tau + step), has S's
-eigenvectors, so its exact projection reads the SymMat's retained
-spectrum, shifted and scaled, instead of decomposing M0: that read is
-the one eigh of S, taken here unless an earlier caller read S's
-eigenvectors (a plug-in penalty reads only lambda_1, by eigvalsh, so a
-full loop after it takes its own eigh).  On the p=200 spiked bench
-samples the full loop (the screen below kept off, as the tests'
-full_loop_only does) takes the same 40-43 iterations with 3 full eigh
-beyond S's own (two Weyl refreshes and the exact finish), instead of one
-per iteration, and about 1.6 ms per iteration instead of 6.1 (numpy 2.4
-with OpenBLAS at one thread on a 2-core x86_64 host); those samples now
-answer on the 5x5 screened block.
+answer as an exact iteration would.
+
+Every cold loop runs on a SymMat: S, or the screened block S[J0, J0]
+that S keeps as its last restriction.  Its first iterate,
+M0 = (S + step (k/p) I)/(tau + step), has that SymMat's eigenvectors, so
+its exact projection reads the SymMat's retained spectrum, shifted and
+scaled, instead of decomposing M0: that read is the one eigh of the
+SymMat, taken here unless an earlier caller read its eigenvectors (a
+plug-in penalty reads only lambda_1 of S, by eigvalsh, so a full loop
+after it takes its own eigh).  A cold run depends only on the entries
+and on the settings the loop reads, so the SymMat keeps its last one
+with those settings (_cold_run): a repeated cold solve, such as a cold
+uniqueness probe after a solve, or a witness whose support is the
+screened block, reads the kept run again instead of running it.  On the
+p=200 spiked bench samples the full loop (the screen below kept off, as
+the tests' full_loop_only does) takes the same 40-43 iterations with 3
+full eigh beyond S's own (two Weyl refreshes and the exact finish),
+instead of one per iteration, and about 1.6 ms per iteration instead of
+6.1 (numpy 2.4 with OpenBLAS at one thread on a 2-core x86_64 host);
+those samples now answer on the 5x5 screened block.
 
 Every penalized solve (rho > 0), warm or cold, first screens, in the
 manner of the strong rules (Tibshirani et al., JRSS-B 2012) and of exact
@@ -400,16 +407,16 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
     The loop's state is v, the Y-step's input: Y = soft(v) at the level and
     U = v - Y.  start is a trusted v shaped like s, read at the level
     rho/step (penalized solves resume; budget solves start cold).  Without
-    one the loop starts from Y = (k/p) I, U = 0, so iteration 1 projects
-    M0 = (S + step (k/p) I)/(tau + step); eig, the ascending eigenpairs of s
-    when the caller holds them (cold starts only), gives M0's shifted and
-    scaled, so the cold start takes no eigh of its own (else M0 is
-    decomposed).  Every iteration takes the one step T of the module
-    docstring at the fixed step admm_step; the forms differ only in the
-    soft-threshold level, level_of(v): rho/step without a budget; with a
-    budget R the level that projects v onto the l1 ball of radius R.  A
-    budget loop, and a penalized loop whose every projection is exact
-    (4 (k + _RITZ_MARGIN) > p), extrapolates v by _Anderson.
+    one, the loop starts from Y = (k/p) I, U = 0, so iteration 1 projects
+    M0 = (S + step (k/p) I)/(tau + step); eig, the ascending eigenpairs of
+    s, which every cold start (_cold_run's) hands in, gives M0's shifted
+    and scaled, so the cold start takes no eigh of its own.  Every
+    iteration takes the one step T of the module docstring at the fixed
+    step admm_step; the forms differ only in the soft-threshold level,
+    level_of(v): rho/step without a budget; with a budget R the level that
+    projects v onto the l1 ball of radius R.  A budget loop, and a
+    penalized loop whose every projection is exact (4 (k + _RITZ_MARGIN) > p),
+    extrapolates v by _Anderson.
 
     The run's stop says how the loop ended, decided once per iteration:
     "converged" once both residuals are at most eps sqrt(p); else "stalled"
@@ -428,10 +435,11 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
 
     if start is None:
         v = y = (k / p) * np.eye(p)
+        # the loop's m below at Y = (k/p) I, U = 0, read off s's eigenpairs
+        cold = ((1.0 / (tau + sigma)) * eig[0] + shrink * (k / p), eig[1])
     else:
         v, y = start, soft_threshold(start, level_of(start))
-    # the loop's m below at Y = (k/p) I, U = 0
-    cold = None if eig is None else ((1.0 / (tau + sigma)) * eig[0] + shrink * (k / p), eig[1])
+        cold = None
     accel = _Anderson(p * p) if budget is not None or 4 * (k + _RITZ_MARGIN) > p else None
 
     tol = cfg.eps * np.sqrt(p)
@@ -486,6 +494,21 @@ def _loop(s, k, cfg, start=None, eig=None, budget=None):
         if stop is not None:
             break
     return _Run(s, h, g, v - y, level, it, r_p, r_d, stop)
+
+
+def _cold_run(sym, k, cfg, budget=None):
+    """The _Run of the splitting loop on the SymMat sym from a cold start.
+
+    A cold run is a pure function of sym's entries and of what _loop reads
+    of the settings, so sym keeps its last one under that key (k, rho,
+    tau_en, admm_step, max_iters, eps, budget) and a repeat re-reads it.
+    support_tol is not in the key: only _read_out reads it, and every
+    caller reads the run out afresh.  A run that stopped short is kept too;
+    read again, it raises the same NotConverged.
+    """
+    key = (k, cfg.rho, cfg.tau_en, cfg.admm_step, cfg.max_iters, cfg.eps, budget)
+    return sym._keep(key, lambda: _loop(sym.entries, k, cfg, None, sym.spectrum.ascending(),
+                                        budget))
 
 
 def _read_out(s, k, cfg, run, rho, rows=None):
@@ -543,12 +566,15 @@ def _solve_raw(sym, cfg, start=None, budget=None):
     """Every solve of the SymMat S: the screened block, else the full p x p loop.
 
     A penalized solve (rho > 0, no budget) whose screen keeps 4 |J0| <= p
-    rows first runs the loop on S[J0, J0], from the loop state start
-    restricted to J0 x J0 when given.  _read_out reads that run on its
-    block and builds the p x p H and Z only for the answer it returns.
-    That answer stands when its KKT report certifies it for the full
-    problem.  Otherwise (refused, or a block run that did not converge) the
-    full loop runs, from start or, cold, from S's retained spectrum.
+    rows first runs the loop on S[J0, J0], the SymMat S keeps as its last
+    restriction, from the loop state start restricted to J0 x J0 when
+    given.  _read_out reads that run on its block and builds the p x p H
+    and Z only for the answer it returns.  That answer stands when its KKT
+    report certifies it for the full problem.  Otherwise (refused, or a
+    block run that did not converge) the full loop runs on S, from start.
+    A cold loop, on the block or on S, is _cold_run's: it starts from its
+    SymMat's retained spectrum, and a repeat re-reads the run that SymMat
+    keeps.
 
     With a budget R, rho* = step * (the last level) stands in for cfg.rho in
     Z, the objective and the KKT report.  Returns (solution, the penalty it
@@ -562,15 +588,20 @@ def _solve_raw(sym, cfg, start=None, budget=None):
     if cfg.rho > 0.0 and budget is None:
         rows = _screen(s, cfg.rho, k)
         if 4 * rows.size <= p:
-            block = None if start is None else start[np.ix_(rows, rows)]
-            run = _loop(s[np.ix_(rows, rows)], k, cfg, block)
+            block = sym._restrict(rows)
+            if start is None:
+                run = _cold_run(block, k, cfg)
+            else:
+                run = _loop(block.entries, k, cfg, start[np.ix_(rows, rows)])
             if run.stop == "converged":
                 sol = _read_out(s, k, cfg, run, cfg.rho, rows)
                 tol = cfg.eps * np.sqrt(p) * (1.0 + abs(sol.objective))
                 if sol.kkt.fantope_optimality_gap <= tol:
                     return sol, cfg.rho
-    eig = sym.spectrum.ascending() if start is None else None
-    run = _loop(s, k, cfg, start, eig, budget)
+    if start is None:
+        run = _cold_run(sym, k, cfg, budget)
+    else:
+        run = _loop(s, k, cfg, start, budget=budget)
     rho = cfg.rho if budget is None else cfg.admm_step * run.level
     sol = _read_out(s, k, cfg, run, rho)
     if run.stop != "converged":
@@ -656,7 +687,9 @@ def uniqueness_probe(s, config, solution=None):
     """Two-route uniqueness check for the penalized solution.
 
     Solves the plain problem (or takes `solution`, a plain solve of the
-    same problem that the caller already holds), reads the eigengap of
+    same problem that the caller already holds; on a SymMat that a cold
+    solve at these settings already ran, the plain solve re-reads its kept
+    run), reads the eigengap of
     S - rho Z at order k off that solve's KKT report (kkt.eigengap), and
     re-solves, also through `solve_fps`, with a strongly concave
     perturbation tau = gap / 2 (any tau inside the gap leaves the maximizer

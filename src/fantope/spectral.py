@@ -25,13 +25,25 @@ from .errors import InvalidInput, NumericalFailure
 class SymMat:
     """A dense symmetric matrix; construction symmetrizes and records the asymmetry.
 
-    spectrum is its one lazy Spectrum, retained while the SymMat lives;
-    entries are read-only, so it cannot go stale.  Pass the SymMat itself,
-    not its entries, to share it.
+    entries are read-only: a writable array handed to the constructor is
+    copied, a read-only one taken as given.  So what a SymMat keeps while it
+    lives cannot go stale:
+      - spectrum, its one lazy Spectrum;
+      - its last restriction S[rows, rows] (_restrict), itself a SymMat;
+      - its last cold run of the splitting loop, with the loop settings it
+        ran at (solver._cold_run): a repeated cold solve re-reads it.
+    Pass the SymMat itself, not its entries, to share them.
     """
 
     entries: np.ndarray
     asym_residual: float = 0.0
+
+    def __post_init__(self):
+        a = np.asarray(self.entries)
+        if a.flags.writeable:
+            a = a.copy()
+            a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
 
     @classmethod
     def from_array(cls, a):
@@ -49,6 +61,25 @@ class SymMat:
     def spectrum(self):
         """The descending Spectrum of entries, decomposed on first read of its arrays."""
         return Spectrum(self.entries)
+
+    def _restrict(self, rows):
+        """The SymMat of entries[rows, rows]; the last one asked for is kept."""
+        kept = self.__dict__.get("_block")
+        if kept is None or not np.array_equal(kept[0], rows):
+            block = self.entries[np.ix_(rows, rows)]
+            block.flags.writeable = False
+            kept = self.__dict__["_block"] = np.array(rows), SymMat(entries=block)
+        return kept[1]
+
+    def _keep(self, key, make):
+        """make(), kept with key: a repeat with an equal key returns the kept value.
+
+        One value is kept, the last one made; an exception keeps nothing.
+        """
+        kept = self.__dict__.get("_kept")
+        if kept is None or kept[0] != key:
+            kept = self.__dict__["_kept"] = key, make()
+        return kept[1]
 
 
 def as_sym(a):

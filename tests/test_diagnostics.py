@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import fantope.diagnostics
 from fantope.base import SupportSet, l11_norm
 from fantope.diagnostics import (
     ConditionReport,
@@ -21,9 +22,9 @@ from fantope.diagnostics import (
 from fantope.errors import InvalidInput, SpsViolated
 from fantope.models import gen_spiked, gen_toy, sample_covariance, sample_gaussian
 from fantope.solver import SolverConfig, solve_fps
-from fantope.spectral import FantopePoint, top_k_projector
+from fantope.spectral import FantopePoint, as_sym, top_k_projector
 from oracles import random_feasible_point, sign_rank_one_bruteforce
-from test_solver import count_linalg
+from test_solver import bench_case, count_linalg, count_loops
 
 TOY = gen_toy(0.0).Sigma.entries
 TOY_SOL = solve_fps(TOY, SolverConfig(k=1, rho=0.0))
@@ -398,6 +399,27 @@ class TestBuildWitness:
         with pytest.raises(InvalidInput):
             build_witness(TOY, TOY, 1, (0, 1), 0.0)
 
+    def test_rereads_the_solve_on_its_support(self, monkeypatch):
+        # the bench's exact recovery: the screened block is J, so the
+        # witness's restricted solve is the solve's kept run, read again
+        model = gen_spiked(200, 2, range(5), (3.0, 2.0), 1.0, 12)
+        s, cfg = bench_case()
+        smat = as_sym(s)
+        sol = solve_fps(smat, cfg)
+        assert sol.support == model.J and sol.working_set == 5
+        runs = count_loops(monkeypatch)
+        real, solves = fantope.diagnostics.solve_fps, []
+
+        def recording(*args, **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fantope.diagnostics, "solve_fps", recording)
+        rep = build_witness(model.Sigma, smat, 2, model.J, cfg.rho)
+        assert runs == [] and len(solves) == 1
+        npt.assert_array_equal(rep.Htilde.entries, sol.H.entries)
+        assert rep.witness_valid
+
     def test_support_must_carry_rank(self):
         with pytest.raises(InvalidInput):
             build_witness(TOY, TOY, 2, (0,), 0.01)
@@ -473,6 +495,16 @@ class TestStabilityCheck:
         f_diff, bound = stability_check(TOY, delta, 1, 2.0)
         assert bound == pytest.approx(0.2, rel=1e-12)
         assert f_diff == pytest.approx(0.05, abs=1e-4)
+
+    def test_repeat_solves_sigma_once(self, monkeypatch):
+        # Sigma keeps its budget run, so a second check runs only the moved matrix's loop
+        m = gen_spiked(50, 1, range(5), (2.0,), 1.0, seed=8)
+        d = np.random.default_rng(3).uniform(-0.05, 0.05, size=(50, 50))
+        d = 0.5 * (d + d.T)
+        first = stability_check(m.Sigma, d, 1, 2.0)
+        runs = count_loops(monkeypatch)
+        assert stability_check(m.Sigma, d, 1, 2.0) == first
+        assert runs == [50]
 
     def test_random_perturbation_respects_bound(self):
         rng = np.random.default_rng(31)

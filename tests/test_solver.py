@@ -1,5 +1,7 @@
+import gc
 import math
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 import fantope.solver
-from fantope.diagnostics import check_lcc, persistence_gap
+from fantope.diagnostics import build_witness, check_lcc, persistence_gap
 from fantope.errors import (
     GapCollapsed,
     InfeasibleConstraint,
@@ -105,6 +107,11 @@ def full_eigh_only(monkeypatch):
 def full_loop_only(monkeypatch):
     """Make the screen keep every row, so each solve runs the full p x p loop."""
     monkeypatch.setattr(fantope.solver, "_screen", lambda s, rho, k: np.arange(s.shape[0]))
+
+
+def fresh(sym):
+    """A new SymMat on sym's entries: it keeps no run, so a cold solve of it runs its loop."""
+    return SymMat(entries=sym.entries)
 
 
 def assert_gate10_kkt(s, sol, rho):
@@ -434,14 +441,15 @@ class TestColdStartFromSpectrum:
 
     @staticmethod
     def eigh_of_m(s, cfg):
-        # the cold loop handed no spectrum: iteration 1 decomposes M0 itself
-        real = fantope.solver._loop
+        # every projection drops the spectrum it is handed: iteration 1 of a
+        # cold loop decomposes M0 itself
+        real = fantope.solver._project
 
-        def no_spectrum(s_in, k, cfg_in, start=None, eig=None, budget=None):
-            return real(s_in, k, cfg_in, start, None, budget)
+        def no_spectrum(m, k, eig=None):
+            return real(m, k)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fantope.solver, "_loop", no_spectrum)
+            mp.setattr(fantope.solver, "_project", no_spectrum)
             return solve_fps(s, cfg)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
@@ -492,13 +500,17 @@ class TestColdStartFromSpectrum:
         assert partial[0].iters == partial[1].iters == 3
         assert np.linalg.norm(partial[0].H.entries - partial[1].H.entries) <= 1e-12
 
-    @pytest.mark.parametrize("call, solves", [
-        (lambda sym, cfg: uniqueness_probe(sym, cfg), 2),
-        (lambda sym, cfg: solve_fps_constrained(sym, 1.5, cfg.with_(rho=0.0)), 1),
-        (lambda sym, cfg: persistence_gap(sym, sym, 1, 1.5), 2),
-    ], ids=["probe", "constrained", "persistence"])
-    def test_entries_keep_their_symmat(self, monkeypatch, call, solves):
-        # every inner solve reads the caller's SymMat, so one spectrum serves all
+    @pytest.mark.parametrize("call, solves, solved", [
+        (lambda sym, cfg: uniqueness_probe(sym, cfg), 2, lambda sym: sym),
+        (lambda sym, cfg: solve_fps_constrained(sym, 1.5, cfg.with_(rho=0.0)), 1,
+         lambda sym: sym),
+        (lambda sym, cfg: persistence_gap(sym, sym, 1, 1.5), 2, lambda sym: sym),
+        (lambda sym, cfg: build_witness(sym, sym, 1, (0, 1), cfg.rho), 1,
+         lambda sym: sym._restrict(np.array([0, 1]))),
+    ], ids=["probe", "constrained", "persistence", "witness"])
+    def test_entries_keep_their_symmat(self, monkeypatch, call, solves, solved):
+        # every inner solve reads the caller's SymMat (the witness: the
+        # restriction to J it keeps), so one spectrum serves all
         s, cfg = toy_case()
         sym = as_sym(s)
         real, seen = fantope.solver._solve_raw, []
@@ -509,7 +521,132 @@ class TestColdStartFromSpectrum:
 
         monkeypatch.setattr(fantope.solver, "_solve_raw", recording)
         call(sym, cfg)
-        assert len(seen) == solves and all(x is sym for x in seen)
+        assert len(seen) == solves and all(x is solved(sym) for x in seen)
+
+
+def count_loops(monkeypatch):
+    """Wrap the splitting loop; returns the list of the orders it runs at."""
+    real, runs = fantope.solver._loop, []
+
+    def counting(s, *args, **kwargs):
+        runs.append(s.shape[0])
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(fantope.solver, "_loop", counting)
+    return runs
+
+
+def assert_same_solution(a, b):
+    """Every field of two FpsSolutions equal, arrays bit for bit."""
+    for f in fields(FpsSolution):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, FantopePoint):
+            npt.assert_array_equal(x.entries, y.entries)
+            assert (x.dim, x.k, x.constraint_residual) == (y.dim, y.k, y.constraint_residual)
+        elif isinstance(x, np.ndarray):
+            npt.assert_array_equal(x, y)
+        else:
+            assert x == y, f.name
+
+
+def full_loop_case():
+    s, cfg = spiked_case()
+    return s, cfg.with_(rho=0.0)
+
+
+class TestKeptColdRun:
+    """A SymMat keeps its last cold run: a repeated cold solve re-reads it."""
+
+    @pytest.mark.parametrize("case", [toy_case, spiked_case, full_loop_case],
+                             ids=["toy", "block", "full-loop"])
+    def test_repeat_runs_no_loop(self, monkeypatch, case):
+        s, cfg = case()
+        sym = as_sym(s)
+        first = solve_fps(sym, cfg)
+        runs = count_loops(monkeypatch)
+        again = solve_fps(sym, cfg)
+        assert runs == []
+        assert_same_solution(first, again)
+
+    def test_repeat_budget_solve_runs_no_loop(self, monkeypatch):
+        s, cfg = spiked_case()
+        sym = as_sym(s)
+        first, rho = solve_fps_constrained(sym, 3.0, cfg)
+        runs = count_loops(monkeypatch)
+        again, rho_again = solve_fps_constrained(sym, 3.0, cfg)
+        assert runs == [] and rho_again == rho
+        assert_same_solution(first, again)
+        solve_fps_constrained(sym, 2.5, cfg)
+        assert runs == [50]
+
+    @pytest.mark.parametrize("change", [dict(rho=0.4), dict(tau_en=0.5), dict(eps=1e-8),
+                                        dict(admm_step=2.0), dict(max_iters=5000)],
+                             ids=["rho", "tau_en", "eps", "admm_step", "max_iters"])
+    def test_other_settings_run_the_loop(self, monkeypatch, change):
+        # a miss runs the loop, and the SymMat then keeps the new run
+        s, cfg = spiked_case()
+        sym = as_sym(s)
+        solve_fps(sym, cfg)
+        runs = count_loops(monkeypatch)
+        moved = solve_fps(sym, cfg.with_(**change))
+        assert runs == [5]
+        assert_same_solution(moved, solve_fps(sym, cfg.with_(**change)))
+        assert runs == [5]
+
+    def test_support_tol_reads_the_kept_run(self, monkeypatch):
+        s, cfg = spiked_case()
+        sym = as_sym(s)
+        solve_fps(sym, cfg)
+        runs = count_loops(monkeypatch)
+        coarse = solve_fps(sym, cfg.with_(support_tol=0.5))
+        assert runs == []
+        assert_same_solution(coarse, solve_fps(fresh(sym), cfg.with_(support_tol=0.5)))
+
+    def test_warm_solve_bypasses_the_kept_run(self, monkeypatch):
+        s, cfg = spiked_case()
+        sym = as_sym(s)
+        cold = solve_fps(sym, cfg)
+        runs = count_loops(monkeypatch)
+        solve_fps(sym, cfg, warm=cold)
+        assert runs == [5]
+        # the warm run leaves the cold one kept
+        assert_same_solution(cold, solve_fps(sym, cfg))
+        assert runs == [5]
+
+    @pytest.mark.parametrize("full", [False, True], ids=["block", "full-loop"])
+    def test_repeat_not_converged(self, monkeypatch, full):
+        s, cfg = full_loop_case() if full else spiked_case()
+        sym = as_sym(s)
+        cfg = cfg.with_(max_iters=3)
+        with pytest.raises(NotConverged) as first:
+            solve_fps(sym, cfg)
+        runs = count_loops(monkeypatch)
+        with pytest.raises(NotConverged) as again:
+            solve_fps(sym, cfg)
+        assert runs == []
+        assert str(again.value) == str(first.value)
+        assert "max_iters" in str(first.value)
+        assert_same_solution(first.value.solution, again.value.solution)
+
+    def test_cold_probe_after_a_solve_runs_one_loop(self, monkeypatch):
+        # the probe's first route re-reads the solve; only its warm
+        # elastic-net route runs, on the 5 x 5 block
+        s, cfg = bench_case()
+        sym = as_sym(s)
+        sol = solve_fps(sym, cfg)
+        runs = count_loops(monkeypatch)
+        probe, first = uniqueness_probe(sym, cfg)
+        assert runs == [5] and probe.unique
+        assert_same_solution(first, sol)
+
+    def test_nothing_is_held_once_the_symmat_goes(self):
+        s, cfg = spiked_case()
+        sym = as_sym(s.copy())
+        sol = solve_fps(sym, cfg)
+        refs = weakref.ref(sym), weakref.ref(sym._restrict(np.array(sol.support.indices)))
+        del sym
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 @st.composite
@@ -544,7 +681,7 @@ class TestScreenedSolve:
         with pytest.MonkeyPatch.context() as mp:
             full_loop_only(mp)
             try:
-                loop, converged = solve_fps(s, cfg), True
+                loop, converged = solve_fps(fresh(s), cfg), True
             except NotConverged as e:
                 loop, converged = e.solution, False
             assert loop.working_set == p
@@ -696,7 +833,7 @@ class TestAcceleration:
         # resolution eps land more than 1e-5 apart
         h_ii = np.diag(plain.H.entries)[list(plain.support.indices)]
         assume(plain.kkt.eigengap > 1e-3 and h_ii.min() > 1e-3)
-        sol = solve_fps(s, cfg)
+        sol = solve_fps(fresh(s), cfg)
         assert sol.support == plain.support
         assert np.linalg.norm(sol.H.entries - plain.H.entries) <= 1e-5
         if tau == 0.0:

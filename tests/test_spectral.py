@@ -48,6 +48,34 @@ class TestSymMat:
         m = SymMat.from_array(np.eye(3))
         assert as_sym(m) is m
 
+    def test_entries_do_not_alias_a_writable_array(self):
+        # a caller's later write reaches neither the kept spectrum nor a solve
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        m = SymMat(entries=a)
+        top = eig_sym(m).eigenvalues[0]
+        a[0, 0] = 100.0
+        assert not m.entries.flags.writeable
+        npt.assert_array_equal(m.entries, [[2.0, 1.0], [1.0, 3.0]])
+        assert eig_sym(m).eigenvalues[0] == top == pytest.approx((5.0 + 5.0 ** 0.5) / 2.0)
+        assert solve_fps(m, SolverConfig(k=1)).objective == pytest.approx(top, abs=1e-6)
+
+    def test_read_only_entries_are_taken_as_given(self):
+        a = np.eye(3)
+        a.flags.writeable = False
+        assert SymMat(entries=a).entries is a
+        m = SymMat.from_array(np.eye(3))
+        assert SymMat(entries=m.entries).entries is m.entries
+
+    def test_restriction_is_kept(self):
+        m = SymMat.from_array(rand_sym(np.random.default_rng(4), 6))
+        rows = np.array([1, 3, 4])
+        block = m._restrict(rows)
+        npt.assert_array_equal(block.entries, m.entries[np.ix_(rows, rows)])
+        assert not block.entries.flags.writeable
+        assert m._restrict([1, 3, 4]) is block
+        other = m._restrict(np.array([0, 1]))
+        assert other is not block and m._restrict(np.array([0, 1])) is other
+
     def test_one_spectrum_per_matrix(self, monkeypatch):
         a = rand_sym(np.random.default_rng(6), 8)
         m = SymMat.from_array(a)
