@@ -100,15 +100,17 @@ class Spectrum:
 
     Eigenvalues read before any eigenvector come from one eigvalsh and are
     kept; the eigenvectors come from one eigh on their first read, which
-    supplies the eigenvalues too when none were read yet.  Eigenvalues read
-    first are therefore paired with eigh's vectors, whose own eigenvalues
-    agree with them to rounding.  A caller that needs both arrays reads the
+    supplies the eigenvalues too when none were read yet.  eigh's own
+    eigenvalues are kept with its vectors: ascending() and reconstruct()
+    read that pair, never eigvalsh's values (which agree with eigh's only
+    to rounding), so what they return does not depend on whether
+    .eigenvalues was read first.  A caller that needs both arrays reads the
     eigenvectors first, so a fresh matrix takes exactly one eigh.
     """
 
     def __init__(self, entries):
         self._entries = entries
-        self._values = self._vectors = None
+        self._values = self._pair = None
 
     @property
     def dim(self):
@@ -126,24 +128,28 @@ class Spectrum:
 
     @property
     def eigenvectors(self):
-        if self._vectors is None:
+        return self._eigh()[1]
+
+    def _eigh(self):
+        """eigh's (eigenvalues, eigenvectors), descending, taken on the first call."""
+        if self._pair is None:
             try:
                 w, v = np.linalg.eigh(self._entries)
             except np.linalg.LinAlgError as e:
                 raise NumericalFailure(f"dense symmetric eigensolver failed: {e}")
-            self._vectors = _read_only(v[:, ::-1])
+            self._pair = _read_only(w[::-1]), _read_only(v[:, ::-1])
             if self._values is None:
-                self._values = _read_only(w[::-1])
-        return self._vectors
+                self._values = self._pair[0]
+        return self._pair
 
     def reconstruct(self):
-        v, w = self.eigenvectors, self.eigenvalues
+        w, v = self._eigh()
         return (v * w) @ v.T
 
     def ascending(self):
-        """(eigenvalues, eigenvectors) in eigh's ascending order, as views."""
-        v = self.eigenvectors
-        return self.eigenvalues[::-1], v[:, ::-1]
+        """eigh's (eigenvalues, eigenvectors) in its ascending order, as views."""
+        w, v = self._eigh()
+        return w[::-1], v[:, ::-1]
 
 
 # how far a validated Fantope point's eigenvalues may leave [0, 1], and its

@@ -1,3 +1,4 @@
+import gzip
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,9 @@ from fantope.models import (
     sample_gaussian,
     save_matrix_csv,
 )
+from fantope.solver import solve_fps
 from oracles import gaussian_rows, two_pass_covariance
-from test_solver import count_linalg
+from test_solver import bench_case, count_linalg
 
 PAIR_PROJECTOR = np.array([
     [0.5, 0.5, 0.0],
@@ -322,13 +324,65 @@ class TestRealArguments:
             call()
 
 
+def _bench_h():
+    s, cfg = bench_case()
+    return solve_fps(s, cfg).H.entries
+
+
+def _negative_zero_rows():
+    a = np.zeros((4, 4))
+    a[0, :] = -0.0
+    a[2, 1] = -0.0
+    a[3, 3] = 1.5
+    return a
+
+
 class TestMatrixCsv:
+    @pytest.mark.parametrize("make", [
+        _bench_h,
+        lambda: bench_case()[0],
+        lambda: np.zeros((5, 5)),
+        lambda: np.eye(5),
+        _negative_zero_rows,
+        lambda: np.array([[5e-324, 1e308], [-1e308, -1e-300]]),
+        lambda: np.array([[2.5]]),
+    ], ids=["bench-H", "dense-S", "zeros", "identity", "negative-zero-rows", "extremes",
+            "one-by-one"])
+    def test_writes_the_bytes_of_savetxt(self, tmp_path, make):
+        a = make()
+        save_matrix_csv(tmp_path / "m.csv", a)
+        np.savetxt(tmp_path / "ref.csv", a, delimiter=",", fmt="%.17g")
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        npt.assert_array_equal(load_matrix_csv(tmp_path / "m.csv"), a)
+
+    def test_gz_path_compresses_and_round_trips(self, tmp_path):
+        h = _bench_h()
+        save_matrix_csv(tmp_path / "h.csv.gz", h)
+        np.savetxt(tmp_path / "ref.csv.gz", h, delimiter=",", fmt="%.17g")
+        with gzip.open(tmp_path / "h.csv.gz") as f, gzip.open(tmp_path / "ref.csv.gz") as g:
+            assert f.read() == g.read()
+        npt.assert_array_equal(load_matrix_csv(tmp_path / "h.csv.gz"), h)
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(7, 7))
         path = tmp_path / "m.csv"
         save_matrix_csv(path, a)
         npt.assert_array_equal(load_matrix_csv(path), a)
+
+    @pytest.mark.parametrize("a", [
+        np.ones((2, 2, 2)),
+        np.ones(3),
+        np.ones((2, 3)),
+        np.zeros((0, 0)),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [np.inf, 1.0]]),
+    ], ids=["3-d", "1-d", "non-square", "empty", "nan", "inf"])
+    def test_save_rejects_what_load_cannot_read_back(self, tmp_path, a):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(InvalidInput):
+            save_matrix_csv(path, a)
+        assert not path.exists()
 
     def test_rejects_nonsquare(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -341,3 +395,10 @@ class TestMatrixCsv:
         path.write_text("1.0,x\ny,2.0\n")
         with pytest.raises(InvalidInput):
             load_matrix_csv(path)
+
+    def test_rejects_an_empty_file_without_a_warning(self, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(InvalidInput, match="holds no matrix"):
+            load_matrix_csv(path)
+        assert not recwarn.list

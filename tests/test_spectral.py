@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import fantope.spectral
 from fantope.diagnostics import check_recovery_conditions, check_sps
 from fantope.errors import InvalidInput, NumericalFailure
-from fantope.models import gen_spiked
+from fantope.models import gen_spiked, sample_covariance, sample_gaussian
 from fantope.solver import _GAP_TIE_TOL, SolverConfig, solve_fps, solve_fps_constrained
 from fantope.spectral import (
     FantopePoint,
@@ -20,7 +20,8 @@ from fantope.spectral import (
     procrustes_align,
     top_k_projector,
 )
-from oracles import random_feasible_point, waterfill_theta_bisect, waterfill_theta_breakpoints
+from oracles import (EIG_ROUTES_DIFFER, random_feasible_point, waterfill_theta_bisect,
+                     waterfill_theta_breakpoints)
 from test_solver import count_linalg
 
 RT2 = np.sqrt(2.0)
@@ -163,6 +164,47 @@ class TestSpectralCallBudget:
         calls = spectral_calls(monkeypatch)
         solve(m)
         assert on(calls, m.entries) == ["eigh"]
+
+
+def _solution(sol):
+    return sol.H.entries, sol.Z, sol.objective, sol.iters
+
+
+class TestEighPair:
+    """ascending() and reconstruct() read eigh's own eigenvalues with its vectors,
+    so a cold solve is the same whether or not lambda_1 was read first."""
+
+    @staticmethod
+    def twins():
+        """Two SymMats of one S, the first with its eigenvalues read (by eigvalsh)."""
+        c = EIG_ROUTES_DIFFER
+        model = gen_spiked(c.p, c.k, range(c.s), c.spikes, 1.0, c.model_seed)
+        s = sample_covariance(sample_gaussian(model, c.n, c.seed)).entries
+        read = SymMat(entries=s.copy())
+        read.spectrum.eigenvalues
+        return read, SymMat(entries=s.copy())
+
+    @pytest.mark.parametrize("read", [
+        lambda m: _solution(solve_fps(m, SolverConfig(k=2, rho=EIG_ROUTES_DIFFER.rho))),
+        lambda m: _solution(solve_fps(m, SolverConfig(k=2, rho=0.0))),
+        lambda m: _solution(solve_fps_constrained(m, 3.0, SolverConfig(k=2))[0]),
+        lambda m: (fantope_project(m, 2).point.entries,),
+        lambda m: (m.spectrum.reconstruct(),),
+        lambda m: m.spectrum.ascending(),
+    ], ids=["solve_fps", "solve_fps_rho0", "constrained", "fantope_project", "reconstruct",
+            "ascending"])
+    def test_same_answer_whether_or_not_eigenvalues_were_read_first(self, read):
+        first, fresh = self.twins()
+        w = first.spectrum.eigenvalues
+        for a, b in zip(read(first), read(fresh), strict=True):
+            npt.assert_array_equal(a, b)
+        # the eigenvalues read first are kept, and here differ from eigh's
+        assert first.spectrum.eigenvalues is w
+        assert not np.array_equal(w, fresh.spectrum.eigenvalues)
+
+    def test_the_penalized_solve_answers_from_the_full_loop(self):
+        sol = solve_fps(self.twins()[0], SolverConfig(k=2, rho=EIG_ROUTES_DIFFER.rho))
+        assert sol.working_set == EIG_ROUTES_DIFFER.p
 
 
 class TestEigSym:
